@@ -10,6 +10,7 @@ so every 64-bit value round-trips exactly.
 from __future__ import annotations
 
 import contextlib
+import math
 
 import numpy as np
 
@@ -37,17 +38,24 @@ def _text_sink(target):
 
 
 def read_vector_csv(path) -> np.ndarray:
-    """Read whitespace/newline-separated floats, in order."""
+    """Read whitespace/newline-separated finite floats, in order.
+
+    A token that is not a float, or that parses to nan or +-inf, raises
+    :class:`VectorParseError` naming the file and line.
+    """
     values = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             for token in line.split():
                 try:
-                    values.append(float(token))
+                    value = float(token)
                 except ValueError:
                     raise VectorParseError(
                         f"{path}:{lineno}: cannot parse {token!r} as a float"
                     ) from None
+                if not math.isfinite(value):
+                    raise VectorParseError(f"{path}:{lineno}: non-finite value {token!r}")
+                values.append(value)
     return np.asarray(values, dtype=float)
 
 

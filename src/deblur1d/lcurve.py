@@ -18,9 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blur import as_vector
-from .linalg import SvdFactors, svd_econ
-from .regularize import Method, tikhonov_solve
+from .linalg import svd_econ
+from .regularize import Method, _check_problem, tikhonov_solve
 
 __all__ = ["LCurve", "logspace", "lcurve_sweep", "suggest_corner"]
 
@@ -59,20 +58,43 @@ class LCurve:
 
 
 def lcurve_sweep(a, b_noise, lambdas, method: Method = Method.SVD_FILTER) -> LCurve:
-    """Solve the regularization problem at each lambda and record both norms.
+    """Record ||b_noise - A f_lambda|| and ||f_lambda|| at each lambda.
 
     Norms are taken against the data actually passed in -- hand this the
-    noisy measurement, not the clean blur.  With ``SVD_FILTER`` (the
-    default) a single factorization of A is shared across the sweep, which
-    is what makes hundred-point sweeps cheap.
+    noisy measurement, not the clean blur.  ``a`` must be square and the
+    lambdas finite, positive and strictly increasing; all of this is checked
+    before any factorization starts.
+
+    With ``SVD_FILTER`` (the default) one factorization A = U diag(sigma) V^T
+    serves the whole sweep, and with beta = U^T b_noise both norms follow in
+    closed form, for every lambda at once:
+
+        ||b - A f|| = ||lambda^2/(sigma^2 + lambda^2) * beta||,
+        ||f||       = ||sigma/(sigma^2 + lambda^2) * beta||.
+
+    The other methods solve the problem once per lambda with
+    :func:`~deblur1d.regularize.tikhonov_solve`.
     """
+    a, b_noise, _, _ = _check_problem(a, b_noise)
+    if a.shape[0] != a.shape[1]:
+        raise ValueError(f"blur matrix must be square, got shape {a.shape}")
     lambdas = np.asarray(lambdas, dtype=float)
-    b_noise = as_vector(b_noise)
-    svd: SvdFactors | None = svd_econ(a) if method is Method.SVD_FILTER else None
+    if lambdas.ndim != 1:
+        raise ValueError(f"lambdas must be a 1-d sequence, got shape {lambdas.shape}")
+    if not np.all(np.isfinite(lambdas)) or np.any(lambdas <= 0) or np.any(np.diff(lambdas) <= 0):
+        raise ValueError("lambdas must be finite, positive and strictly increasing")
+    if method is Method.SVD_FILTER:
+        svd = svd_econ(a)
+        beta = svd.u.T @ b_noise
+        lam2 = (lambdas * lambdas)[:, None]
+        denom = svd.sigma * svd.sigma + lam2
+        res = np.linalg.norm(lam2 / denom * beta, axis=1)
+        sol = np.linalg.norm(svd.sigma / denom * beta, axis=1)
+        return LCurve(lambdas, res, sol)
     res = np.empty(lambdas.size)
     sol = np.empty(lambdas.size)
     for i, lam in enumerate(lambdas):
-        solution = tikhonov_solve(a, b_noise, float(lam), method, svd=svd)
+        solution = tikhonov_solve(a, b_noise, float(lam), method)
         res[i] = solution.residual_norm
         sol[i] = solution.solution_norm
     return LCurve(lambdas, res, sol)

@@ -35,6 +35,10 @@ class SvdFactors(NamedTuple):
     singular-vector pair is signed so the largest-magnitude entry of v_j is
     positive (ties broken by lowest index), which makes repeated
     factorizations of the same matrix reproducible.
+
+    For an exactly symmetric A the factors come from its eigendecomposition
+    A = V diag(w) V^T: sigma_j = |w_j| and u_j = sign(w_j) v_j (with
+    sign(0) taken as +1), so u_j = -v_j wherever the eigenvalue is negative.
     """
 
     u: np.ndarray
@@ -104,6 +108,16 @@ def solve_least_squares(m, rhs) -> np.ndarray:
     return np.linalg.solve(r, q.T @ rhs)
 
 
+def _symmetric_factors(a: np.ndarray):
+    # A = V diag(w) V^T = (V diag(sign w)) diag(|w|) V^T; the stable sort
+    # keeps equal |w| in eigh's ascending order, so the result is reproducible.
+    w, vecs = np.linalg.eigh(a)
+    order = np.argsort(-np.abs(w), kind="stable")
+    w = w[order]
+    v = vecs[:, order]
+    return v * np.where(w < 0, -1.0, 1.0), np.abs(w), v
+
+
 def svd_econ(a) -> SvdFactors:
     """Economy SVD of an m-by-n matrix with m >= n.
 
@@ -111,6 +125,11 @@ def svd_econ(a) -> SvdFactors:
     nonnegative, U/V orthonormal to ~1e-10, reconstruction to ~1e-10
     relative, A v_j = sigma_j u_j columnwise, and the deterministic sign
     convention described on :class:`SvdFactors`.
+
+    A square input that equals its transpose exactly (every blur matrix
+    does) is factored with ``eigh`` as described on :class:`SvdFactors`,
+    which is several times cheaper than the general SVD; any other input
+    takes the general SVD.
     """
     a = _as_matrix(a)
     if a.shape[0] < a.shape[1]:
@@ -118,11 +137,13 @@ def svd_econ(a) -> SvdFactors:
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must all be finite")
     try:
-        u, sigma, vt = np.linalg.svd(a, full_matrices=False)
+        if a.shape[0] == a.shape[1] and np.array_equal(a, a.T):
+            u, sigma, v = _symmetric_factors(a)
+        else:
+            u, sigma, vt = np.linalg.svd(a, full_matrices=False)
+            v = vt.T.copy()
     except np.linalg.LinAlgError as exc:
         raise SvdConvergenceError(f"SVD failed to converge: {exc}") from exc
-    v = vt.T.copy()
-    u = u.copy()
     cols = np.arange(v.shape[1])
     lead = np.argmax(np.abs(v), axis=0)
     flip = v[lead, cols] < 0

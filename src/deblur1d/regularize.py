@@ -84,11 +84,10 @@ def _check_problem(a, b, f=None, lam=0.0):
     lam = float(lam)
     if not math.isfinite(lam) or lam < 0:
         raise ValueError(f"lambda must be a nonnegative real, got {lam!r}")
-    if f is None:
-        return a, b, lam
-    f = as_vector(f)
-    if a.shape[1] != f.size:
-        raise ValueError(f"matrix has {a.shape[1]} columns but f has {f.size} entries")
+    if f is not None:
+        f = as_vector(f)
+        if a.shape[1] != f.size:
+            raise ValueError(f"matrix has {a.shape[1]} columns but f has {f.size} entries")
     return a, b, f, lam
 
 
@@ -131,7 +130,7 @@ def tikhonov_solve(
     ``svd`` supplies a precomputed factorization for ``SVD_FILTER`` (it is
     ignored by the other methods); omit it and one is computed on the fly.
     """
-    a, b, lam = _check_problem(a, b, lam=lam)
+    a, b, _, lam = _check_problem(a, b, lam=lam)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"blur matrix must be square, got shape {a.shape}")
     n = a.shape[1]

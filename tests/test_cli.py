@@ -168,6 +168,14 @@ def test_unparseable_input_exits_three(tmp_path):
     assert run_cli(["deblur", "--input", str(bad), "--lambda", "1e-3"]) == 3
 
 
+def test_nonfinite_input_exits_three(tmp_path, capsys):
+    for token in ("nan", "inf"):
+        bad = tmp_path / f"{token}.csv"
+        bad.write_text(f"1.0\n{token}\n2.0\n")
+        assert run_cli(["lcurve", "--input", str(bad)]) == 3
+        assert f"{bad}:2:" in capsys.readouterr().err
+
+
 def test_computation_error_exits_two(tmp_path):
     flat = tmp_path / "flat.csv"
     d.write_vector_csv(flat, np.ones(95))

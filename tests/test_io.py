@@ -28,6 +28,11 @@ def test_read_vector_reports_offending_line(tmp_path):
     with pytest.raises(d.VectorParseError) as err:
         d.read_vector_csv(p)
     assert ":2:" in str(err.value)
+    for token in ("nan", "inf", "-Infinity"):
+        p.write_text(f"1.0\n2.0\n3.0 {token}\n")
+        with pytest.raises(d.VectorParseError) as err:
+            d.read_vector_csv(p)
+        assert f"{p}:3:" in str(err.value)
 
 
 def test_read_vector_missing_file(tmp_path):

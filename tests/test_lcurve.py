@@ -29,12 +29,23 @@ def test_lcurve_validation():
 
 
 def test_single_lambda_sweep_matches_standalone(hat500):
-    b = hat500.b_noise.values
-    curve = d.lcurve_sweep(hat500.a, b, [1e-3, 1e-2])
-    for i, lam in enumerate((1e-3, 1e-2)):
-        sol = d.tikhonov_solve(hat500.a, b, lam, d.Method.SVD_FILTER, svd=hat500.svd)
-        assert curve.residual_norms[i] == pytest.approx(sol.residual_norm, rel=1e-8)
-        assert curve.solution_norms[i] == pytest.approx(sol.solution_norm, rel=1e-8)
+    # the closed-form sweep against one standalone solve per lambda, over the
+    # CLI's default grid, on the hat operator and on the indefinite averaging
+    # one; residuals are held to ||b|| because the standalone ||b - A f||
+    # cancels at small lambda
+    averaging = d.build_blur_matrix(d.KernelSpec(d.Kernel.AVERAGING, 0.05), 200)
+    avg_b = d.add_noise(d.forward_blur(averaging, d.test_signal(d.make_grid(200))),
+                        d.NoiseSpec(1e-5, 7)).values
+    lams = d.logspace(-7, 0.5, 100)
+    for a, b, svd in ((hat500.a, hat500.b_noise.values, hat500.svd),
+                      (averaging, avg_b, d.svd_econ(averaging))):
+        nb = d.vector_norm(b)
+        curve = d.lcurve_sweep(a, b, lams)
+        for i, lam in enumerate(lams):
+            sol = d.tikhonov_solve(a, b, lam, d.Method.SVD_FILTER, svd=svd)
+            assert curve.residual_norms[i] == pytest.approx(
+                sol.residual_norm, rel=1e-8, abs=1e-12 * nb)
+            assert curve.solution_norms[i] == pytest.approx(sol.solution_norm, rel=1e-8)
 
 
 def test_sweep_monotonicity(hat500):
@@ -69,10 +80,30 @@ def test_sweep_other_methods_agree(hat500):
     assert np.allclose(c_svd.solution_norms, c_aug.solution_norms, rtol=1e-8)
 
 
-def test_sweep_requires_sorted_positive_lambdas(hat500):
-    b = hat500.b_noise.values
-    with pytest.raises(ValueError):
-        d.lcurve_sweep(hat500.a, b, [1e-2, 1e-3])
+def test_sweep_requires_sorted_positive_lambdas(hat500, monkeypatch):
+    a, b = hat500.a, hat500.b_noise.values
+
+    def no_work(*_):
+        raise AssertionError("invalid input must be rejected before any factoring")
+
+    monkeypatch.setattr("deblur1d.lcurve.svd_econ", no_work)
+    monkeypatch.setattr("deblur1d.lcurve.tikhonov_solve", no_work)
+    bad_calls = [
+        (a, b, [1e-2, 1e-3]),
+        (a, b, [1e-2, 1e-2]),
+        (a, b, [0.0, 1e-2]),
+        (a, b, [-1e-2, 1e-2]),
+        (a, b, [1e-3, np.inf]),
+        (a, b, [np.nan, 1e-2]),
+        (a, b, [[1e-3, 1e-2]]),
+        (a, b[:-1], [1e-3, 1e-2]),
+        (a[:, :-1], b, [1e-3, 1e-2]),
+        (a[0], b, [1e-3, 1e-2]),
+    ]
+    for method in d.Method:
+        for args in bad_calls:
+            with pytest.raises(ValueError):
+                d.lcurve_sweep(*args, method)
 
 
 def test_corner_collinear_points_tie_to_middle():

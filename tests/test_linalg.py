@@ -94,6 +94,13 @@ def _check_contract(a, fac):
     assert np.linalg.norm(a - recon, "fro") <= 1e-10 * max(1.0, norm)
     residuals = np.linalg.norm(a @ fac.v - fac.u * fac.sigma, axis=0)
     assert residuals.max() <= 1e-10 * fac.sigma[0]
+    reference = np.linalg.svd(a, compute_uv=False)
+    assert np.abs(fac.sigma - reference).max() <= 1e-13 * fac.sigma[0]
+
+
+def _symmetric_indefinite(seed, n):
+    m = np.random.default_rng(seed).standard_normal((n, n))
+    return m + m.T
 
 
 def test_svd_contract_random_rectangles():
@@ -105,17 +112,29 @@ def test_svd_contract_random_rectangles():
 
 def test_svd_contract_blur_matrix(hat500):
     _check_contract(hat500.a, hat500.svd)
+    # exactly symmetric but indefinite: these take the eigh route, and the
+    # negative eigenvalues must come back as sigma = |w|, u_j = -v_j
+    averaging = d.build_blur_matrix(d.KernelSpec(d.Kernel.AVERAGING, 0.05), 200)
+    for a in (averaging, _symmetric_indefinite(31, 40)):
+        assert np.linalg.eigvalsh(a).min() < 0
+        _check_contract(a, d.svd_econ(a))
 
 
 def test_svd_sign_convention_deterministic():
-    rng = np.random.default_rng(8)
-    a = rng.standard_normal((15, 10))
-    f1 = d.svd_econ(a)
-    f2 = d.svd_econ(a.copy())
-    assert np.array_equal(f1.u, f2.u)
-    assert np.array_equal(f1.v, f2.v)
-    lead = np.argmax(np.abs(f1.v), axis=0)
-    assert np.all(f1.v[lead, np.arange(10)] > 0)
+    rectangular = np.random.default_rng(8).standard_normal((15, 10))
+    symmetric = _symmetric_indefinite(8, 10)
+    for a in (rectangular, symmetric):
+        f1 = d.svd_econ(a)
+        f2 = d.svd_econ(a.copy())
+        assert np.array_equal(f1.u, f2.u)
+        assert np.array_equal(f1.v, f2.v)
+        lead = np.argmax(np.abs(f1.v), axis=0)
+        assert np.all(f1.v[lead, np.arange(10)] > 0)
+    # the symmetric input takes the eigh route: u_j = sign(w_j) v_j exactly,
+    # not just to rounding, and some w_j are negative
+    fac = d.svd_econ(symmetric)
+    assert np.array_equal(np.abs(fac.u), np.abs(fac.v))
+    assert np.any(fac.u[0] != fac.v[0])
 
 
 def test_svd_requires_tall_input_and_finite_entries():
