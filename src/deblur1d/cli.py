@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -46,7 +47,7 @@ EXIT_IO = 3
 COKE_DIGITS = "049000027679"
 
 
-class _UsageError(Exception):
+class _UsageError(ValueError):
     pass
 
 
@@ -98,8 +99,6 @@ def _load_signal(path) -> Signal:
 
 def _cmd_blur(args) -> int:
     spec = _kernel_spec(args)
-    if args.noise is not None and args.noise < 0:
-        raise _UsageError("blur: --noise must be nonnegative")
     if args.upc:
         f = pattern_to_signal(encode_upc(args.upc), args.points_per_unit)
     elif args.input:
@@ -136,11 +135,9 @@ def _cmd_deblur(args) -> int:
 def _cmd_lcurve(args) -> int:
     spec = _kernel_spec(args)
     method = Method.from_name(args.method)
-    if args.count < 2:
-        raise _UsageError("lcurve: --count must be at least 2")
+    lambdas = logspace(args.lambda_min_exp, args.lambda_max_exp, args.count)
     b = _load_signal(args.input)
     a = build_blur_matrix(spec, b.grid.n)
-    lambdas = logspace(args.lambda_min_exp, args.lambda_max_exp, args.count)
     curve = lcurve_sweep(a, b.values, lambdas, method)
     rows = zip(curve.lambdas, curve.residual_norms, curve.solution_norms)
     io.write_table_csv(
@@ -161,8 +158,8 @@ def _cmd_lcurve(args) -> int:
 
 def _cmd_svd_analyze(args) -> int:
     spec = _kernel_spec(args)
-    if args.lam <= 0:
-        raise _UsageError("svd-analyze: --lambda must be positive")
+    if not 0 < args.lam < math.inf:
+        raise _UsageError("svd-analyze: --lambda must be finite and positive")
     b = _load_signal(args.input)
     a = build_blur_matrix(spec, b.grid.n)
     svd = svd_econ(a)
@@ -220,10 +217,6 @@ def _cmd_upc_decode(args) -> int:
 
 
 def _cmd_demo_coke(args) -> int:
-    if args.noise < 0:
-        raise _UsageError("demo-coke: --noise must be nonnegative")
-    if args.lam < 0:
-        raise _UsageError("demo-coke: --lambda must be nonnegative")
     digits = parse_digits(COKE_DIGITS)
     f_true = pattern_to_signal(encode_upc(digits), 6)
     n = f_true.grid.n
@@ -343,26 +336,23 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# First match wins: VectorParseError is a DeblurError but an I/O failure.
+_EXIT_CODES = (
+    (ValueError, EXIT_USAGE),
+    (VectorParseError, EXIT_IO),
+    (DeblurError, EXIT_COMPUTATION),
+    (OSError, EXIT_IO),
+)
+
+
 def run_cli(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
+    except tuple(exc_type for exc_type, _ in _EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except VectorParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except DeblurError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COMPUTATION
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return next(code for exc_type, code in _EXIT_CODES if isinstance(exc, exc_type))
 
 
 def main() -> None:

@@ -93,11 +93,13 @@ def read_table_csv(path):
         if not line:
             continue
         fields = line.split(",")
+        if len(fields) != len(headers):
+            raise VectorParseError(
+                f"{path}:{lineno}: row has {len(fields)} fields but header has {len(headers)}"
+            )
         try:
             rows.append([float(x) for x in fields])
         except ValueError:
             raise VectorParseError(f"{path}:{lineno}: unparseable row {line!r}") from None
     data = np.asarray(rows, dtype=float) if rows else np.empty((0, len(headers)))
-    if data.size and data.shape[1] != len(headers):
-        raise VectorParseError(f"{path}: row width differs from header width")
     return headers, data

@@ -20,6 +20,7 @@ import numpy as np
 
 from .linalg import svd_econ
 from .regularize import Method, _check_problem, tikhonov_solve
+from .svd_analysis import _tikhonov_inverse_filter
 
 __all__ = ["LCurve", "logspace", "lcurve_sweep", "suggest_corner"]
 
@@ -87,9 +88,8 @@ def lcurve_sweep(a, b_noise, lambdas, method: Method = Method.SVD_FILTER) -> LCu
         svd = svd_econ(a)
         beta = svd.u.T @ b_noise
         lam2 = (lambdas * lambdas)[:, None]
-        denom = svd.sigma * svd.sigma + lam2
-        res = np.linalg.norm(lam2 / denom * beta, axis=1)
-        sol = np.linalg.norm(svd.sigma / denom * beta, axis=1)
+        res = np.linalg.norm(lam2 / (svd.sigma * svd.sigma + lam2) * beta, axis=1)
+        sol = np.linalg.norm(_tikhonov_inverse_filter(svd.sigma, lambdas[:, None]) * beta, axis=1)
         return LCurve(lambdas, res, sol)
     res = np.empty(lambdas.size)
     sol = np.empty(lambdas.size)

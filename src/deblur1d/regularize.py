@@ -30,7 +30,7 @@ from .blur import as_vector
 from .errors import SingularComponentError
 from .linalg import SvdFactors, solve_least_squares, solve_linear, svd_econ
 from .noise import vector_norm
-from .svd_analysis import filtered_coefficients
+from .svd_analysis import filtered_coefficients, naive_inverse_coefficients
 
 __all__ = [
     "Method",
@@ -41,9 +41,9 @@ __all__ = [
     "truncated_svd_solve",
 ]
 
-# Under SVD_FILTER with lambda = 0, singular values at or below this times
-# sigma_1 raise instead of dividing: surfacing the ill-posedness beats
-# emitting near-infinities.
+# Under SVD_FILTER with lambda = 0, sigma_n at or below this times sigma_1
+# raises rather than emit near-infinities; see the zero-sigma policy in the
+# deblur1d.svd_analysis docstring.
 _SV_CUTOFF = 1e-14
 
 
@@ -104,20 +104,6 @@ def gradient_phi(a, b, f, lam: float) -> np.ndarray:
     return 2.0 * (a.T @ (a @ f) + lam * lam * f - a.T @ b)
 
 
-def _svd_filter_solution(svd: SvdFactors, b: np.ndarray, lam: float) -> np.ndarray:
-    if lam == 0.0:
-        sigma = svd.sigma
-        cutoff = _SV_CUTOFF * (sigma[0] if sigma.size else 0.0)
-        if sigma.size == 0 or sigma[-1] <= cutoff:
-            raise SingularComponentError(
-                "singular values reach the cutoff; lambda = 0 spectral solve undefined"
-            )
-        coeffs = (svd.u.T @ b) / sigma
-    else:
-        coeffs = filtered_coefficients(svd, b, lam)
-    return svd.v @ coeffs
-
-
 def tikhonov_solve(
     a,
     b,
@@ -141,7 +127,15 @@ def tikhonov_solve(
     elif method is Method.NORMAL_EQUATIONS:
         f = solve_linear(a.T @ a + lam * lam * np.identity(n), a.T @ b)
     elif method is Method.SVD_FILTER:
-        f = _svd_filter_solution(svd if svd is not None else svd_econ(a), b, lam)
+        svd = svd if svd is not None else svd_econ(a)
+        if lam > 0.0:
+            f = svd.v @ filtered_coefficients(svd, b, lam)
+        elif svd.sigma.size == 0 or svd.sigma[-1] <= _SV_CUTOFF * svd.sigma[0]:
+            raise SingularComponentError(
+                "singular values reach the cutoff; lambda = 0 spectral solve undefined"
+            )
+        else:
+            f = svd.v @ naive_inverse_coefficients(svd, b)
     else:
         raise ValueError(f"unknown method {method!r}")
     return RegularizedSolution(
@@ -159,14 +153,11 @@ def truncated_svd_solve(svd: SvdFactors, b, k: int) -> np.ndarray:
     Chopping the sum after k terms discards the troublesome small-sigma
     components outright, an effective alternative to the smooth Tikhonov
     roll-off.  k = n with all sigma_j well away from zero reproduces the
-    direct solve.
+    direct solve; a zero sigma_j with j <= k raises SingularComponentError.
     """
-    b = as_vector(b)
     n = svd.sigma.size
     k = int(k)
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in 1..{n}, got {k}")
-    if np.any(svd.sigma[:k] == 0.0):
-        raise SingularComponentError(f"zero singular value within the first {k} terms")
-    coeffs = (svd.u[:, :k].T @ b) / svd.sigma[:k]
-    return svd.v[:, :k] @ coeffs
+    lead = SvdFactors(svd.u[:, :k], svd.sigma[:k], svd.v[:, :k])
+    return lead.v @ naive_inverse_coefficients(lead, b)

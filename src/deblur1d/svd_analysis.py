@@ -12,11 +12,19 @@ Regularization replaces 1/sigma_j by sigma_j/(sigma_j^2 + lambda^2), which
 matches 1/sigma_j for sigma_j >> lambda and rolls off to zero as
 sigma_j -> 0.  All quantities here are cheap given one shared
 :class:`~deblur1d.linalg.SvdFactors`, so a single factorization serves
-every diagnostic and every lambda.
+every diagnostic and every lambda.  The ``SVD_FILTER`` and TSVD solves are
+V times coefficients from here, and the L-curve uses the same Tikhonov filter.
+
+Zero-sigma policy: :func:`naive_inverse_coefficients` is the only division
+by sigma, and an exactly zero sigma among the terms it keeps raises
+:class:`~deblur1d.errors.SingularComponentError`.  The lambda = 0
+``SVD_FILTER`` solve also refuses sigma_n <= 1e-14 * sigma_1.  For
+lambda > 0 the divisor is sigma^2 + lambda^2, never sigma alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,13 +66,16 @@ def naive_inverse_coefficients(svd: SvdFactors, b) -> np.ndarray:
     return expansion_coefficients(svd, b) / svd.sigma
 
 
+def _tikhonov_inverse_filter(sigma, lam):
+    return sigma / (sigma * sigma + lam * lam)
+
+
 def filtered_coefficients(svd: SvdFactors, b, lam: float) -> np.ndarray:
     """Regularized coefficients (u_j^T b) * sigma_j/(sigma_j^2 + lambda^2)."""
     lam = float(lam)
-    if lam <= 0:
-        raise ValueError(f"lambda must be positive, got {lam!r}")
-    filt = svd.sigma / (svd.sigma**2 + lam * lam)
-    return expansion_coefficients(svd, b) * filt
+    if not 0 < lam < math.inf:
+        raise ValueError(f"lambda must be finite and positive, got {lam!r}")
+    return expansion_coefficients(svd, b) * _tikhonov_inverse_filter(svd.sigma, lam)
 
 
 @dataclass(frozen=True)

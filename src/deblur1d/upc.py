@@ -257,26 +257,18 @@ def _repair_widths(widths, residuals, group_index):
     total = sum(widths)
     if total == 7:
         return widths, False
-    if total == 8:
-        candidates = [i for i, w in enumerate(widths) if w > 1]
-        if not candidates:
-            raise DecodeError(f"digit group {group_index}: widths {widths} irreparable", group_index)
-        i = min(candidates, key=lambda k: (residuals[k], k))
-        widths = list(widths)
-        widths[i] -= 1
-        return tuple(widths), True
-    if total == 6:
-        candidates = [i for i, w in enumerate(widths) if w < 4]
-        if not candidates:
-            raise DecodeError(f"digit group {group_index}: widths {widths} irreparable", group_index)
-        i = min(candidates, key=lambda k: (-residuals[k], k))
-        widths = list(widths)
-        widths[i] += 1
-        return tuple(widths), True
-    raise DecodeError(
-        f"digit group {group_index}: widths {widths} sum to {total}, expected 7",
-        group_index,
-    )
+    if total not in (6, 8):
+        raise DecodeError(
+            f"digit group {group_index}: widths {widths} sum to {total}, expected 7",
+            group_index,
+        )
+    # _round_width clamps to 1..4, so some width can always take the step.
+    step = 7 - total
+    candidates = [i for i, w in enumerate(widths) if 1 <= w + step <= 4]
+    i = min(candidates, key=lambda k: (-step * residuals[k], k))
+    widths = list(widths)
+    widths[i] += step
+    return tuple(widths), True
 
 
 def _decode_runs(bits: np.ndarray, p: int, reversed_scan: bool) -> DecodeResult:

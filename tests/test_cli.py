@@ -147,7 +147,7 @@ def test_svg_emission(tmp_path):
     assert text.startswith("<svg") and "polyline" in text
 
 
-def test_usage_errors_exit_one(capsys):
+def test_usage_errors_exit_one(tmp_path, capsys):
     assert run_cli(["deblur", "--lambda", "-1", "--input", "whatever.csv"]) == 1
     assert "nonnegative" in capsys.readouterr().err
     assert run_cli(["no-such-command"]) == 1
@@ -155,6 +155,22 @@ def test_usage_errors_exit_one(capsys):
     assert run_cli(["upc-encode", "--digits", "123"]) == 1
     assert run_cli(["blur", "--n", "0"]) == 1
     assert run_cli(["blur", "--seed", "-4"]) == 1
+    capsys.readouterr()
+    data = tmp_path / "b.csv"
+    d.write_vector_csv(data, np.linspace(0.0, 1.0, 40))
+    for argv in (
+        ["blur", "--noise", "-1"],
+        ["lcurve", "--input", str(data), "--count", "1"],
+        ["demo-coke", "--noise", "-1"],
+        ["demo-coke", "--lambda", "-1"],
+        ["svd-analyze", "--input", str(data), "--lambda", "nan"],
+        ["svd-analyze", "--input", str(data), "--lambda", "inf"],
+        ["svd-analyze", "--input", str(data), "--lambda", "nan", "--vectors", "1"],
+        ["svd-analyze", "--input", str(data), "--lambda", "inf", "--vectors", "1"],
+    ):
+        assert run_cli(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: "), argv
 
 
 def test_missing_input_exits_three(tmp_path):

@@ -69,6 +69,15 @@ def test_table_round_trip(tmp_path):
     assert np.array_equal(data, np.asarray(rows))
 
 
+def test_read_table_reports_ragged_row(tmp_path):
+    p = tmp_path / "t.csv"
+    # a short or long row among full ones, and rows all of the wrong width
+    for body, lineno in (("1,2\n3\n", 3), ("1,2\n3,4,5\n", 3), ("1\n2\n", 2)):
+        p.write_text("a,b\n" + body)
+        with pytest.raises(d.VectorParseError, match=f"{p}:{lineno}: row has"):
+            d.read_table_csv(p)
+
+
 def test_write_table_rejects_ragged_rows(tmp_path):
     with pytest.raises(ValueError):
         d.write_table_csv(tmp_path / "t.csv", ["a", "b"], [[1, 2, 3]])

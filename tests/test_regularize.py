@@ -184,6 +184,8 @@ def test_truncated_svd_errors():
         d.truncated_svd_solve(fac, np.ones(3), 0)
     with pytest.raises(ValueError):
         d.truncated_svd_solve(fac, np.ones(3), 4)
+    with pytest.raises(ValueError):
+        d.truncated_svd_solve(fac, np.ones(4), 2)
     with pytest.raises(d.SingularComponentError):
         d.truncated_svd_solve(fac, np.ones(3), 3)
     # k below the zero singular value is fine

@@ -63,8 +63,9 @@ def test_naive_reassembly_blows_up_on_barcode_matrix(coke570):
 
 
 def test_filtered_requires_positive_lambda(hat500):
-    with pytest.raises(ValueError):
-        d.filtered_coefficients(hat500.svd, hat500.b.values, 0.0)
+    for lam in (0.0, -1e-3, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            d.filtered_coefficients(hat500.svd, hat500.b.values, lam)
 
 
 def test_filtered_approaches_naive_for_large_sigma():
@@ -88,6 +89,14 @@ def test_filtered_assembly_is_bitwise_the_svd_filter_solution(hat500):
     assembled = hat500.svd.v @ d.filtered_coefficients(hat500.svd, b, lam)
     sol = d.tikhonov_solve(hat500.a, b, lam, d.Method.SVD_FILTER, svd=hat500.svd)
     assert np.array_equal(assembled, sol.f_lambda)
+    # at lambda = 0 the spectral solve and the all-terms TSVD are one formula
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((30, 30)) + 10 * np.identity(30)
+    b = rng.standard_normal(30)
+    fac = d.svd_econ(a)
+    naive = d.tikhonov_solve(a, b, 0.0, d.Method.SVD_FILTER, svd=fac).f_lambda
+    assert np.array_equal(d.truncated_svd_solve(fac, b, 30), naive)
+    assert np.array_equal(fac.v @ d.naive_inverse_coefficients(fac, b), naive)
 
 
 def test_smooth_data_coefficients_drop_off(hat500):

@@ -205,6 +205,21 @@ def test_repair_recovers_a_half_unit_boundary_shift():
     assert not result.groups[4].repaired
 
 
+def test_repair_recovers_a_sum_six_group():
+    # move the boundary between digit groups 1 and 2 two thirds of a unit
+    # right: group 1 rounds to 1-1-3-3 (sum 8), group 2 to 2-1-1-2 (sum 6),
+    # and the repair step widens group 2's shrunk first space back to 3
+    bits = d.threshold_signal(d.pattern_to_signal(d.encode_upc(COKE), 6))
+    vals = bits.bits.copy()
+    vals[102:106] = vals[101]
+    result = d.decode_upc(d.BinaryBarVector(vals, 6))
+    assert result.digits_string == COKE
+    g = result.groups[2]
+    assert [int(np.floor(u + 0.5)) for u in g.unit_widths] == [2, 1, 1, 2]
+    assert g.repaired and g.widths == (3, 1, 1, 2)
+    assert result.groups[1].repaired
+
+
 def test_check_digit():
     assert d.check_digit_valid(COKE)
     assert d.check_digit_valid("000000000000")
