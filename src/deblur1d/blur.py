@@ -57,6 +57,23 @@ def as_vector(x) -> np.ndarray:
     return v
 
 
+def _as_system(a, b=None, *, square=False):
+    """Return ``a`` as a nonempty float matrix, or ``(a, b)`` with ``b`` as a
+    vector holding one entry per row of ``a``; ``square`` also requires
+    ``a`` to be square.  Every solve path checks its operator here."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.size == 0:
+        raise ValueError(f"expected a nonempty matrix, got shape {a.shape}")
+    if square and a.shape[0] != a.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {a.shape}")
+    if b is None:
+        return a
+    b = as_vector(b)
+    if b.size != a.shape[0]:
+        raise ValueError(f"matrix has {a.shape[0]} rows but data has {b.size} entries")
+    return a, b
+
+
 def build_blur_matrix(spec: KernelSpec, n: int) -> np.ndarray:
     """Assemble the n-by-n blur matrix A[j, k] = h(s_j, t_k)/n.
 
@@ -73,14 +90,8 @@ def build_blur_matrix(spec: KernelSpec, n: int) -> np.ndarray:
 
 def forward_blur(a: np.ndarray, f: Signal) -> Signal:
     """Apply the blur: b_j = sum_k A[j, k] f_k."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"blur matrix must be square, got shape {a.shape}")
-    if a.shape[1] != f.grid.n:
-        raise ValueError(
-            f"matrix has {a.shape[1]} columns but signal has {f.grid.n} samples"
-        )
-    return Signal(f.grid, a @ f.values)
+    a, values = _as_system(a, f, square=True)
+    return Signal(f.grid, a @ values)
 
 
 def test_signal(grid: Grid) -> Signal:

@@ -7,14 +7,14 @@ match).  All randomness flows through ``--seed``, so identical invocations
 produce byte-identical outputs.
 
 Exit codes: 0 success, 1 usage error, 2 computation error (singular matrix,
-decode failure, ...), 3 I/O error.
+decode failure, out of memory, ...), 3 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import math
 import sys
 
 import numpy as np
@@ -27,7 +27,7 @@ from .lcurve import lcurve_sweep, logspace, suggest_corner
 from .linalg import solve_linear, svd_econ
 from .noise import NoiseSpec, add_noise
 from .regularize import Method, tikhonov_solve
-from .svd_analysis import spectral_diagnostics
+from .svd_analysis import _check_lambdas, spectral_diagnostics
 from .svgplot import write_svg_polyline
 from .upc import (
     decode_upc,
@@ -119,8 +119,8 @@ def _cmd_blur(args) -> int:
 def _cmd_deblur(args) -> int:
     spec = _kernel_spec(args)
     method = Method.from_name(args.method)
-    if args.lam is not None and args.lam < 0:
-        raise _UsageError("deblur: --lambda must be nonnegative")
+    if args.lam is not None:
+        _check_lambdas(args.lam, zero_ok=True)
     b = _load_signal(args.input)
     a = build_blur_matrix(spec, b.grid.n)
     if args.lam is None:
@@ -158,8 +158,7 @@ def _cmd_lcurve(args) -> int:
 
 def _cmd_svd_analyze(args) -> int:
     spec = _kernel_spec(args)
-    if not 0 < args.lam < math.inf:
-        raise _UsageError("svd-analyze: --lambda must be finite and positive")
+    _check_lambdas(args.lam)
     b = _load_signal(args.input)
     a = build_blur_matrix(spec, b.grid.n)
     svd = svd_econ(a)
@@ -199,18 +198,7 @@ def _cmd_upc_decode(args) -> int:
             "digits": result.digits_string,
             "check_digit_ok": result.check_digit_ok,
             "reversed_scan": result.reversed_scan,
-            "groups": [
-                {
-                    "index": g.index,
-                    "digit": g.digit,
-                    "run_lengths": list(g.run_lengths),
-                    "unit_widths": list(g.unit_widths),
-                    "widths": list(g.widths),
-                    "repaired": g.repaired,
-                    "pattern_column": g.pattern_column,
-                }
-                for g in result.groups
-            ],
+            "groups": [dataclasses.asdict(g) for g in result.groups],
         }
         print(json.dumps(payload, indent=2))
     return EXIT_OK
@@ -341,6 +329,7 @@ _EXIT_CODES = (
     (ValueError, EXIT_USAGE),
     (VectorParseError, EXIT_IO),
     (DeblurError, EXIT_COMPUTATION),
+    (MemoryError, EXIT_COMPUTATION),
     (OSError, EXIT_IO),
 )
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .linalg import svd_econ
 from .regularize import Method, _check_problem, tikhonov_solve
-from .svd_analysis import _tikhonov_inverse_filter
+from .svd_analysis import _check_lambdas, _tikhonov_inverse_filter
 
 __all__ = ["LCurve", "logspace", "lcurve_sweep", "suggest_corner"]
 
@@ -33,6 +33,16 @@ def logspace(lo_exp: float, hi_exp: float, count: int) -> np.ndarray:
     return np.logspace(float(lo_exp), float(hi_exp), count)
 
 
+def _check_sweep(lambdas) -> np.ndarray:
+    lambdas = np.asarray(lambdas, dtype=float)
+    if lambdas.ndim != 1:
+        raise ValueError(f"lambdas must be a 1-d sequence, got shape {lambdas.shape}")
+    lambdas = _check_lambdas(lambdas)
+    if np.any(np.diff(lambdas) <= 0):
+        raise ValueError("lambdas must be strictly increasing")
+    return lambdas
+
+
 @dataclass(frozen=True, eq=False)
 class LCurve:
     """Sweep results: lambdas (strictly increasing) and the two norms."""
@@ -42,13 +52,11 @@ class LCurve:
     solution_norms: np.ndarray
 
     def __post_init__(self):
-        lam = np.asarray(self.lambdas, dtype=float)
+        lam = _check_sweep(self.lambdas)
         res = np.asarray(self.residual_norms, dtype=float)
         sol = np.asarray(self.solution_norms, dtype=float)
-        if not (lam.ndim == res.ndim == sol.ndim == 1 and lam.size == res.size == sol.size):
+        if not (res.ndim == sol.ndim == 1 and lam.size == res.size == sol.size):
             raise ValueError("lambdas and norms must be 1-d and equally long")
-        if lam.size and (lam[0] <= 0 or np.any(np.diff(lam) <= 0)):
-            raise ValueError("lambdas must be positive and strictly increasing")
         for name, arr in (("lambdas", lam), ("residual_norms", res), ("solution_norms", sol)):
             arr = arr.copy()
             arr.setflags(write=False)
@@ -62,8 +70,9 @@ def lcurve_sweep(a, b_noise, lambdas, method: Method = Method.SVD_FILTER) -> LCu
     """Record ||b_noise - A f_lambda|| and ||f_lambda|| at each lambda.
 
     Norms are taken against the data actually passed in -- hand this the
-    noisy measurement, not the clean blur.  ``a`` must be square and the
-    lambdas finite, positive and strictly increasing; all of this is checked
+    noisy measurement, not the clean blur.  A square ``a``, data of matching
+    length, and strictly increasing lambdas in the range that
+    :func:`~deblur1d.svd_analysis._check_lambdas` accepts are all checked
     before any factorization starts.
 
     With ``SVD_FILTER`` (the default) one factorization A = U diag(sigma) V^T
@@ -77,13 +86,7 @@ def lcurve_sweep(a, b_noise, lambdas, method: Method = Method.SVD_FILTER) -> LCu
     :func:`~deblur1d.regularize.tikhonov_solve`.
     """
     a, b_noise, _, _ = _check_problem(a, b_noise)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"blur matrix must be square, got shape {a.shape}")
-    lambdas = np.asarray(lambdas, dtype=float)
-    if lambdas.ndim != 1:
-        raise ValueError(f"lambdas must be a 1-d sequence, got shape {lambdas.shape}")
-    if not np.all(np.isfinite(lambdas)) or np.any(lambdas <= 0) or np.any(np.diff(lambdas) <= 0):
-        raise ValueError("lambdas must be finite, positive and strictly increasing")
+    lambdas = _check_sweep(lambdas)
     if method is Method.SVD_FILTER:
         svd = svd_econ(a)
         beta = svd.u.T @ b_noise
@@ -100,19 +103,6 @@ def lcurve_sweep(a, b_noise, lambdas, method: Method = Method.SVD_FILTER) -> LCu
     return LCurve(lambdas, res, sol)
 
 
-def _menger_curvature(x: np.ndarray, y: np.ndarray, i: int) -> float:
-    ax, ay = x[i - 1], y[i - 1]
-    bx, by = x[i], y[i]
-    cx, cy = x[i + 1], y[i + 1]
-    ab = np.hypot(bx - ax, by - ay)
-    bc = np.hypot(cx - bx, cy - by)
-    ca = np.hypot(cx - ax, cy - ay)
-    if ab == 0.0 or bc == 0.0 or ca == 0.0:
-        return 0.0
-    cross = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-    return 2.0 * abs(cross) / (ab * bc * ca)
-
-
 def suggest_corner(curve: LCurve) -> int:
     """Index of the curve point with maximal log-log Menger curvature.
 
@@ -127,5 +117,13 @@ def suggest_corner(curve: LCurve) -> int:
         raise ValueError("corner undefined: curve has nonpositive norms")
     x = np.log10(curve.residual_norms)
     y = np.log10(curve.solution_norms)
-    curvatures = np.array([_menger_curvature(x, y, i) for i in range(1, m - 1)])
+    # Menger curvature 2|cross|/(|ab| |bc| |ca|) of each triple (a, b, c) of
+    # consecutive points; a triple with two coincident points scores 0.
+    dx, dy = np.diff(x), np.diff(y)
+    ab = np.hypot(dx[:-1], dy[:-1])
+    bc = np.hypot(dx[1:], dy[1:])
+    ca = np.hypot(x[2:] - x[:-2], y[2:] - y[:-2])
+    cross = np.abs(dx[:-1] * (y[2:] - y[:-2]) - dy[:-1] * (x[2:] - x[:-2]))
+    den = ab * bc * ca
+    curvatures = np.divide(2.0 * cross, den, out=np.zeros_like(den), where=den != 0)
     return int(np.argmax(curvatures)) + 1

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .blur import as_vector
+from .blur import _as_system
 from .errors import RankDeficientError, SingularMatrixError, SvdConvergenceError
 
 __all__ = ["SvdFactors", "solve_linear", "invert", "solve_least_squares", "svd_econ"]
@@ -46,21 +46,9 @@ class SvdFactors(NamedTuple):
     v: np.ndarray
 
 
-def _as_matrix(a) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2:
-        raise ValueError(f"expected a matrix, got shape {a.shape}")
-    return a
-
-
 def solve_linear(a, b) -> np.ndarray:
     """Solve the square system A x = b by row-pivoted Gaussian elimination."""
-    a = _as_matrix(a)
-    b = as_vector(b)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
-    if a.shape[1] != b.size:
-        raise ValueError(f"matrix is {a.shape[0]}x{a.shape[1]} but rhs has {b.size} entries")
+    a, b = _as_system(a, b, square=True)
     try:
         return np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:
@@ -73,9 +61,7 @@ def invert(a) -> np.ndarray:
     Only meant for desk-scale demonstrations: solving against a specific
     right-hand side is always preferable to forming the inverse.
     """
-    a = _as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
+    a = _as_system(a, square=True)
     try:
         return np.linalg.solve(a, np.identity(a.shape[0]))
     except np.linalg.LinAlgError as exc:
@@ -90,16 +76,13 @@ def solve_least_squares(m, rhs) -> np.ndarray:
     which is exactly the failure the augmented Tikhonov path exists to
     avoid.
     """
-    m = _as_matrix(m)
-    rhs = as_vector(rhs)
+    m, rhs = _as_system(m, rhs)
     rows, cols = m.shape
     if rows < cols:
         raise ValueError(f"need at least as many rows as columns, got {rows}x{cols}")
-    if rhs.size != rows:
-        raise ValueError(f"matrix has {rows} rows but rhs has {rhs.size} entries")
     q, r = np.linalg.qr(m)
     pivots = np.abs(np.diag(r))
-    tol = _RANK_TOL * (np.abs(m).max() if m.size else 0.0)
+    tol = _RANK_TOL * np.abs(m).max()
     if np.any(pivots <= tol):
         k = int(np.argmax(pivots <= tol))
         raise RankDeficientError(
@@ -131,7 +114,7 @@ def svd_econ(a) -> SvdFactors:
     which is several times cheaper than the general SVD; any other input
     takes the general SVD.
     """
-    a = _as_matrix(a)
+    a = _as_system(a)
     if a.shape[0] < a.shape[1]:
         raise ValueError(f"need at least as many rows as columns, got {a.shape[0]}x{a.shape[1]}")
     if not np.all(np.isfinite(a)):

@@ -21,16 +21,15 @@ routes to the minimizer are provided:
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .blur import as_vector
+from .blur import _as_system
 from .errors import SingularComponentError
 from .linalg import SvdFactors, solve_least_squares, solve_linear, svd_econ
 from .noise import vector_norm
-from .svd_analysis import filtered_coefficients, naive_inverse_coefficients
+from .svd_analysis import _check_lambdas, filtered_coefficients, naive_inverse_coefficients
 
 __all__ = [
     "Method",
@@ -75,20 +74,10 @@ class RegularizedSolution:
 
 
 def _check_problem(a, b, f=None, lam=0.0):
-    a = np.asarray(a, dtype=float)
-    b = as_vector(b)
-    if a.ndim != 2:
-        raise ValueError(f"expected a matrix, got shape {a.shape}")
-    if a.shape[0] != b.size:
-        raise ValueError(f"matrix has {a.shape[0]} rows but data has {b.size} entries")
-    lam = float(lam)
-    if not math.isfinite(lam) or lam < 0:
-        raise ValueError(f"lambda must be a nonnegative real, got {lam!r}")
+    a, b = _as_system(a, b, square=True)
     if f is not None:
-        f = as_vector(f)
-        if a.shape[1] != f.size:
-            raise ValueError(f"matrix has {a.shape[1]} columns but f has {f.size} entries")
-    return a, b, f, lam
+        _, f = _as_system(a, f)  # a is square, so one entry per column too
+    return a, b, f, _check_lambdas(lam, zero_ok=True)
 
 
 def objective_phi(a, b, f, lam: float) -> float:
@@ -117,8 +106,6 @@ def tikhonov_solve(
     ignored by the other methods); omit it and one is computed on the fly.
     """
     a, b, _, lam = _check_problem(a, b, lam=lam)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"blur matrix must be square, got shape {a.shape}")
     n = a.shape[1]
     if method is Method.AUGMENTED_LS:
         aug = np.vstack([a, lam * np.identity(n)])

@@ -20,6 +20,10 @@ by sigma, and an exactly zero sigma among the terms it keeps raises
 :class:`~deblur1d.errors.SingularComponentError`.  The lambda = 0
 ``SVD_FILTER`` solve also refuses sigma_n <= 1e-14 * sigma_1.  For
 lambda > 0 the divisor is sigma^2 + lambda^2, never sigma alone.
+
+Lambda policy: every solve path accepts a lambda only through
+:func:`_check_lambdas`, which keeps lambda^2 a normal, finite float, so the
+divisor above is never 0/0 or inf/inf.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blur import as_vector
+from .blur import _as_system
 from .errors import SingularComponentError
 from .linalg import SvdFactors
 
@@ -42,16 +46,36 @@ __all__ = [
 ]
 
 
-def _check_dim(svd: SvdFactors, x: np.ndarray):
-    if x.size != svd.u.shape[0]:
-        raise ValueError(f"vector has {x.size} entries but U has {svd.u.shape[0]} rows")
+# lambda^2 is a normal, finite float exactly when lambda lies in this range
+# (both ends square exactly into float64's normal range).
+_LAM_MIN = math.sqrt(np.finfo(float).tiny)
+_LAM_MAX = math.sqrt(np.finfo(float).max)
+
+
+def _check_lambdas(lam, zero_ok=False):
+    """Return ``lam`` as a float (or float array) once each value lies in
+    [_LAM_MIN, _LAM_MAX], or is 0 where ``zero_ok``; raise ValueError otherwise.
+
+    The bounds are compared, never squared: squaring 1e160 would itself
+    overflow.  NaN fails every comparison and is rejected with the rest.
+    """
+    arr = np.asarray(lam, dtype=float)
+    ok = (arr >= _LAM_MIN) & (arr <= _LAM_MAX)
+    if zero_ok:
+        ok |= arr == 0.0
+    if not np.all(ok):
+        sign = "nonnegative: 0 or" if zero_ok else "positive:"
+        raise ValueError(
+            f"lambda must be {sign} in [{_LAM_MIN:.4g}, {_LAM_MAX:.4g}], "
+            f"got {float(arr[~ok][0])!r}"
+        )
+    return float(arr) if arr.ndim == 0 else arr
 
 
 def expansion_coefficients(svd: SvdFactors, x) -> np.ndarray:
     """Coefficients u_j^T x of ``x`` against the left singular vectors."""
-    x = as_vector(x)
-    _check_dim(svd, x)
-    return svd.u.T @ x
+    u, x = _as_system(svd.u, x)
+    return u.T @ x
 
 
 def naive_inverse_coefficients(svd: SvdFactors, b) -> np.ndarray:
@@ -72,9 +96,7 @@ def _tikhonov_inverse_filter(sigma, lam):
 
 def filtered_coefficients(svd: SvdFactors, b, lam: float) -> np.ndarray:
     """Regularized coefficients (u_j^T b) * sigma_j/(sigma_j^2 + lambda^2)."""
-    lam = float(lam)
-    if not 0 < lam < math.inf:
-        raise ValueError(f"lambda must be finite and positive, got {lam!r}")
+    lam = _check_lambdas(lam)
     return expansion_coefficients(svd, b) * _tikhonov_inverse_filter(svd.sigma, lam)
 
 

@@ -198,12 +198,12 @@ class GroupDiagnostic:
     """How one digit group was read: raw runs, rounding, repair, table column."""
 
     index: int
+    digit: int
     run_lengths: tuple
     unit_widths: tuple
     widths: tuple
     repaired: bool
     pattern_column: int
-    digit: int
 
 
 @dataclass(frozen=True)

@@ -167,10 +167,24 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         ["svd-analyze", "--input", str(data), "--lambda", "inf"],
         ["svd-analyze", "--input", str(data), "--lambda", "nan", "--vectors", "1"],
         ["svd-analyze", "--input", str(data), "--lambda", "inf", "--vectors", "1"],
+        ["svd-analyze", "--input", str(data), "--lambda", "1e-170"],
+        ["deblur", "--input", str(data), "--lambda", "1e200", "--method", "normal"],
+        ["lcurve", "--input", str(data), "--lambda-max-exp", "160",
+         "--output", str(tmp_path / "curve.csv")],
     ):
         assert run_cli(argv) == 1, argv
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: "), argv
+    assert not (tmp_path / "curve.csv").exists()
+
+
+def test_out_of_memory_exits_two(monkeypatch, capsys):
+    def no_memory(*_):
+        raise MemoryError("cannot allocate the blur matrix")
+
+    monkeypatch.setattr("deblur1d.cli.build_blur_matrix", no_memory)
+    assert run_cli(["blur", "--n", "10"]) == 2
+    assert capsys.readouterr().err == "error: cannot allocate the blur matrix\n"
 
 
 def test_missing_input_exits_three(tmp_path):

@@ -26,6 +26,8 @@ def test_lcurve_validation():
         d.LCurve(np.array([-1.0, 1.0]), np.ones(2), np.ones(2))
     with pytest.raises(ValueError):
         d.LCurve(np.array([1.0, 2.0]), np.ones(3), np.ones(2))
+    with pytest.raises(ValueError):
+        d.LCurve(np.array([1.0, np.inf]), np.ones(2), np.ones(2))
 
 
 def test_single_lambda_sweep_matches_standalone(hat500):
@@ -98,6 +100,7 @@ def test_sweep_requires_sorted_positive_lambdas(hat500, monkeypatch):
         (a, b, [-1e-2, 1e-2]),
         (a, b, [1e-3, np.inf]),
         (a, b, [np.nan, 1e-2]),
+        (a, b, [1.0, 1e160]),
         (a, b, [[1e-3, 1e-2]]),
         (a, b[:-1], [1e-3, 1e-2]),
         (a[:, :-1], b, [1e-3, 1e-2]),

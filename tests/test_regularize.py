@@ -128,6 +128,9 @@ def test_error_conditions():
     b = np.ones(3)
     with pytest.raises(ValueError):
         d.tikhonov_solve(a, b, -1.0)
+    for method in d.Method:
+        with pytest.raises(ValueError):
+            d.tikhonov_solve(np.zeros((0, 0)), np.zeros(0), 1.0, method)
     singular = np.array([[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(d.SingularMatrixError):
         d.tikhonov_solve(singular, [1.0, 1.0], 0.0, d.Method.NORMAL_EQUATIONS)

@@ -63,9 +63,13 @@ def test_naive_reassembly_blows_up_on_barcode_matrix(coke570):
 
 
 def test_filtered_requires_positive_lambda(hat500):
-    for lam in (0.0, -1e-3, float("nan"), float("inf")):
+    # lambda^2 must be a normal, finite float: 1e-170 squares to 0 (a zero
+    # sigma then gives 0/0) and 1e160 squares to inf
+    for lam in (0.0, -1e-3, float("nan"), float("inf"), 1e-170, 1e160):
         with pytest.raises(ValueError):
             d.filtered_coefficients(hat500.svd, hat500.b.values, lam)
+    with pytest.raises(ValueError):
+        d.filtered_coefficients(d.svd_econ(np.diag([1.0, 0.0])), [1.0, 1.0], 1e-170)
 
 
 def test_filtered_approaches_naive_for_large_sigma():
