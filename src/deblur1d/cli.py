@@ -23,7 +23,7 @@ from . import io
 from .blur import Signal, build_blur_matrix, forward_blur, test_signal
 from .errors import DeblurError, VectorParseError
 from .kernels import Kernel, KernelSpec, make_grid
-from .lcurve import lcurve_sweep, logspace, suggest_corner
+from .lcurve import _check_sweep, lcurve_sweep, logspace, suggest_corner
 from .linalg import solve_linear, svd_econ
 from .noise import NoiseSpec, add_noise
 from .regularize import Method, tikhonov_solve
@@ -135,7 +135,7 @@ def _cmd_deblur(args) -> int:
 def _cmd_lcurve(args) -> int:
     spec = _kernel_spec(args)
     method = Method.from_name(args.method)
-    lambdas = logspace(args.lambda_min_exp, args.lambda_max_exp, args.count)
+    lambdas = _check_sweep(logspace(args.lambda_min_exp, args.lambda_max_exp, args.count))
     b = _load_signal(args.input)
     a = build_blur_matrix(spec, b.grid.n)
     curve = lcurve_sweep(a, b.values, lambdas, method)

@@ -4,6 +4,9 @@ These wrap LAPACK via numpy rather than re-deriving textbook loops: the
 contracts below (error conditions, tolerances, deterministic SVD signs) are
 what the rest of the package relies on, and LAPACK satisfies them with
 plenty of margin at the dimensions used here (n up to a couple thousand).
+The one loop is the O(n^2) back-substitution in ``solve_least_squares``:
+numpy has no triangular solver, and its LU-based ``solve`` would spend
+O(n^3) on a matrix that is already triangular.
 
 No accuracy promise is made for ill-conditioned systems; ``solve_linear``
 happily returns the garbage that exact arithmetic on rounded data produces.
@@ -69,7 +72,12 @@ def invert(a) -> np.ndarray:
 
 
 def solve_least_squares(m, rhs) -> np.ndarray:
-    """Minimize ||rhs - M x|| over x via Householder QR.
+    """Minimize ||rhs - M x|| over x via Householder QR, R only.
+
+    One Householder QR of the bordered matrix [M | rhs] = Q R yields both
+    factors the solve needs: the leading block of R is M's triangular
+    factor and its last column is Q^T rhs, so Q is never formed.  x then
+    follows by back-substitution on the first ``cols`` rows of R.
 
     The orthogonal-factorization route is deliberate: squaring the
     conditioning by forming M^T M loses roughly half the available digits,
@@ -80,15 +88,18 @@ def solve_least_squares(m, rhs) -> np.ndarray:
     rows, cols = m.shape
     if rows < cols:
         raise ValueError(f"need at least as many rows as columns, got {rows}x{cols}")
-    q, r = np.linalg.qr(m)
-    pivots = np.abs(np.diag(r))
+    r = np.linalg.qr(np.column_stack([m, rhs]), mode="r")
+    pivots = np.abs(np.diag(r)[:cols])
     tol = _RANK_TOL * np.abs(m).max()
     if np.any(pivots <= tol):
         k = int(np.argmax(pivots <= tol))
         raise RankDeficientError(
             f"matrix is numerically rank deficient (|r[{k},{k}]| = {pivots[k]:.3e})"
         )
-    return np.linalg.solve(r, q.T @ rhs)
+    x = np.empty(cols)
+    for i in range(cols - 1, -1, -1):
+        x[i] = (r[i, cols] - r[i, i + 1:cols] @ x[i + 1:]) / r[i, i]
+    return x
 
 
 def _symmetric_factors(a: np.ndarray):

@@ -9,8 +9,11 @@ regularization (ridge regression) instead minimizes
 trading data fit against solution size.  Three algebraically equivalent
 routes to the minimizer are provided:
 
-* ``AUGMENTED_LS`` -- least squares on [A; lambda I] against [b; 0].  The
-  numerically preferred default: it never squares the conditioning.
+* ``AUGMENTED_LS`` -- least squares on [A; lambda I] against [b; 0], by one
+  Householder QR of the bordered matrix [A b; lambda I 0] and a
+  back-substitution.  Q is never formed: the last column of R already holds
+  Q^T [b; 0].  The numerically preferred default: being an orthogonal
+  factorization, it never squares the conditioning.
 * ``NORMAL_EQUATIONS`` -- solve (A^T A + lambda^2 I) f = A^T b directly.
   Kept for comparison; loses about half the digits on near-singular A.
 * ``SVD_FILTER`` -- spectral form sum_j (u_j^T b) sigma_j/(sigma_j^2 +
@@ -75,6 +78,10 @@ class RegularizedSolution:
 
 def _check_problem(a, b, f=None, lam=0.0):
     a, b = _as_system(a, b, square=True)
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries must all be finite")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("data entries must all be finite")
     if f is not None:
         _, f = _as_system(a, f)  # a is square, so one entry per column too
     return a, b, f, _check_lambdas(lam, zero_ok=True)

@@ -171,6 +171,7 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         ["deblur", "--input", str(data), "--lambda", "1e200", "--method", "normal"],
         ["lcurve", "--input", str(data), "--lambda-max-exp", "160",
          "--output", str(tmp_path / "curve.csv")],
+        ["lcurve", "--input", str(tmp_path / "missing.csv"), "--lambda-max-exp", "160"],
     ):
         assert run_cli(argv) == 1, argv
         captured = capsys.readouterr()

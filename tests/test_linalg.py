@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import deblur1d as d
+from deblur1d import linalg
 
 A22 = np.array([[1.0, -0.05], [1.0, 0.05]])
 
@@ -59,6 +60,49 @@ def test_least_squares_rank_deficient_raises():
     m = np.array([[1.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
     with pytest.raises(d.RankDeficientError):
         d.solve_least_squares(m, [1.0, 1.0, 0.0])
+    # third column = first + second: the pivot named is the third one
+    rng = np.random.default_rng(12)
+    m = rng.standard_normal((5, 2))
+    m = np.column_stack([m, m[:, 0] + m[:, 1]])
+    with pytest.raises(d.RankDeficientError, match=r"\|r\[2,2\]\|"):
+        d.solve_least_squares(m, rng.standard_normal(5))
+
+
+def _augmented_hat_system(n, lam):
+    a = d.build_blur_matrix(d.KernelSpec(d.Kernel.HAT, 0.05), n)
+    b = d.forward_blur(a, d.test_signal(d.make_grid(n))).values
+    return np.vstack([a, lam * np.identity(n)]), np.concatenate([b, np.zeros(n)])
+
+
+def test_least_squares_agrees_with_lstsq():
+    rng = np.random.default_rng(11)
+    cases = [(rng.uniform(0.5, 2.0, (1, 1)), rng.standard_normal(1)),
+             (rng.uniform(-1, 1, (8, 8)) + 3 * np.identity(8), rng.standard_normal(8)),
+             (rng.standard_normal((40, 7)), rng.standard_normal(40)),
+             _augmented_hat_system(570, 1e-3)]
+    for m, rhs in cases:
+        x = d.solve_least_squares(m, rhs)
+        ref = np.linalg.lstsq(m, rhs, rcond=None)[0]
+        tol = 1e-12 * np.linalg.cond(m) * np.linalg.norm(ref)
+        assert np.linalg.norm(x - ref) <= tol, m.shape
+
+
+def test_least_squares_takes_one_r_only_qr(monkeypatch):
+    qr = np.linalg.qr
+    calls = []
+
+    def spy(a, mode="reduced"):
+        calls.append(mode)
+        return qr(a, mode=mode)
+
+    def no_solve(*_):
+        raise AssertionError("solve_least_squares must not call np.linalg.solve")
+
+    monkeypatch.setattr(linalg.np.linalg, "qr", spy)
+    monkeypatch.setattr(linalg.np.linalg, "solve", no_solve)
+    x = d.solve_least_squares([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]], [3.0, 4.0, 7.0])
+    assert np.allclose(x, [3.0, 2.0], atol=1e-14, rtol=0)
+    assert calls == ["r"]
 
 
 def test_least_squares_requires_tall_matrix():

@@ -139,6 +139,32 @@ def test_error_conditions():
         d.tikhonov_solve(nearly, [1.0, 1.0], 0.0, d.Method.SVD_FILTER)
 
 
+def _with_entry(arr, index, value):
+    arr = arr.copy()
+    arr[index] = value
+    return arr
+
+
+def test_nonfinite_operator_or_data_rejected_by_every_method():
+    a = d.build_blur_matrix(d.KernelSpec(d.Kernel.HAT, 0.05), 20)
+    b = d.forward_blur(a, d.test_signal(d.make_grid(20))).values
+    f = np.ones(20)
+    for a_bad, b_bad in ((a, _with_entry(b, 3, np.nan)),
+                         (_with_entry(a, (4, 5), np.nan), b),
+                         (_with_entry(a, (4, 5), np.inf), b)):
+        for method in d.Method:
+            with pytest.raises(ValueError, match="entries must all be finite"):
+                d.tikhonov_solve(a_bad, b_bad, 1e-3, method)
+            with pytest.raises(ValueError, match="entries must all be finite"):
+                d.lcurve_sweep(a_bad, b_bad, [1e-3, 1e-2], method)
+        with pytest.raises(ValueError, match="entries must all be finite"):
+            d.tikhonov_solve(a_bad, b_bad, 1e-3, d.Method.SVD_FILTER, svd=d.svd_econ(a))
+        with pytest.raises(ValueError, match="entries must all be finite"):
+            d.objective_phi(a_bad, b_bad, f, 1e-3)
+        with pytest.raises(ValueError, match="entries must all be finite"):
+            d.gradient_phi(a_bad, b_bad, f, 1e-3)
+
+
 def test_augmented_path_beats_normal_equations_near_singularity():
     # ill-conditioned 2x2 with a tiny lambda: the normal equations lose
     # half the digits, the augmented least-squares path does not
