@@ -58,19 +58,23 @@ def as_vector(x) -> np.ndarray:
 
 
 def _as_system(a, b=None, *, square=False):
-    """Return ``a`` as a nonempty float matrix, or ``(a, b)`` with ``b`` as a
-    vector holding one entry per row of ``a``; ``square`` also requires
-    ``a`` to be square.  Every solve path checks its operator here."""
+    """Return ``a`` as a nonempty finite float matrix, or ``(a, b)`` with
+    ``b`` a finite vector of one entry per row of ``a``; ``square`` also
+    requires ``a`` square.  Every solve path checks its operator here only."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.size == 0:
         raise ValueError(f"expected a nonempty matrix, got shape {a.shape}")
     if square and a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries must all be finite")
     if b is None:
         return a
     b = as_vector(b)
     if b.size != a.shape[0]:
         raise ValueError(f"matrix has {a.shape[0]} rows but data has {b.size} entries")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("data entries must all be finite")
     return a, b
 
 
@@ -89,9 +93,10 @@ def build_blur_matrix(spec: KernelSpec, n: int) -> np.ndarray:
 
 
 def forward_blur(a: np.ndarray, f: Signal) -> Signal:
-    """Apply the blur: b_j = sum_k A[j, k] f_k."""
-    a, values = _as_system(a, f, square=True)
-    return Signal(f.grid, a @ values)
+    """Apply the blur: b_j = sum_k A[j, k] f_k.
+
+    No scan of A: matmul and Signal reject a bad shape or a non-finite b."""
+    return Signal(f.grid, np.asarray(a, dtype=float) @ f.values)
 
 
 def test_signal(grid: Grid) -> Signal:

@@ -23,6 +23,11 @@ import numpy as np
 
 __all__ = ["Kernel", "KernelSpec", "Grid", "make_grid", "eval_kernel"]
 
+# x^2 and 1/x are normal, finite floats exactly when x lies in this range (both
+# ends square exactly into float64's normal range); kernel widths and lambdas obey it.
+_SQRT_TINY = math.sqrt(np.finfo(float).tiny)
+_SQRT_MAX = math.sqrt(np.finfo(float).max)
+
 
 class Kernel(enum.Enum):
     """Available kernel shapes."""
@@ -43,7 +48,8 @@ class Kernel(enum.Enum):
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """A kernel shape together with its half-width / spread parameter z > 0."""
+    """A kernel shape together with its half-width / spread parameter z, which
+    lies in [sqrt(tiny), sqrt(max)] so no kernel evaluates to NaN or inf."""
 
     kind: Kernel
     z: float = 0.025
@@ -52,8 +58,10 @@ class KernelSpec:
         if not isinstance(self.kind, Kernel):
             object.__setattr__(self, "kind", Kernel.from_name(str(self.kind)))
         z = float(self.z)
-        if not math.isfinite(z) or z <= 0:
-            raise ValueError(f"kernel width z must be a positive finite real, got {self.z!r}")
+        if not _SQRT_TINY <= z <= _SQRT_MAX:
+            raise ValueError(
+                f"kernel width z must lie in [{_SQRT_TINY:.4g}, {_SQRT_MAX:.4g}], got {self.z!r}"
+            )
         object.__setattr__(self, "z", z)
 
 

@@ -128,8 +128,6 @@ def svd_econ(a) -> SvdFactors:
     a = _as_system(a)
     if a.shape[0] < a.shape[1]:
         raise ValueError(f"need at least as many rows as columns, got {a.shape[0]}x{a.shape[1]}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must all be finite")
     try:
         if a.shape[0] == a.shape[1] and np.array_equal(a, a.T):
             u, sigma, v = _symmetric_factors(a)

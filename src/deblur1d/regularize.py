@@ -78,10 +78,6 @@ class RegularizedSolution:
 
 def _check_problem(a, b, f=None, lam=0.0):
     a, b = _as_system(a, b, square=True)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must all be finite")
-    if not np.all(np.isfinite(b)):
-        raise ValueError("data entries must all be finite")
     if f is not None:
         _, f = _as_system(a, f)  # a is square, so one entry per column too
     return a, b, f, _check_lambdas(lam, zero_ok=True)

@@ -28,13 +28,13 @@ divisor above is never 0/0 or inf/inf.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .blur import _as_system
 from .errors import SingularComponentError
+from .kernels import _SQRT_MAX, _SQRT_TINY
 from .linalg import SvdFactors
 
 __all__ = [
@@ -46,27 +46,21 @@ __all__ = [
 ]
 
 
-# lambda^2 is a normal, finite float exactly when lambda lies in this range
-# (both ends square exactly into float64's normal range).
-_LAM_MIN = math.sqrt(np.finfo(float).tiny)
-_LAM_MAX = math.sqrt(np.finfo(float).max)
-
-
 def _check_lambdas(lam, zero_ok=False):
     """Return ``lam`` as a float (or float array) once each value lies in
-    [_LAM_MIN, _LAM_MAX], or is 0 where ``zero_ok``; raise ValueError otherwise.
+    [_SQRT_TINY, _SQRT_MAX], or is 0 where ``zero_ok``; raise ValueError otherwise.
 
     The bounds are compared, never squared: squaring 1e160 would itself
     overflow.  NaN fails every comparison and is rejected with the rest.
     """
     arr = np.asarray(lam, dtype=float)
-    ok = (arr >= _LAM_MIN) & (arr <= _LAM_MAX)
+    ok = (arr >= _SQRT_TINY) & (arr <= _SQRT_MAX)
     if zero_ok:
         ok |= arr == 0.0
     if not np.all(ok):
         sign = "nonnegative: 0 or" if zero_ok else "positive:"
         raise ValueError(
-            f"lambda must be {sign} in [{_LAM_MIN:.4g}, {_LAM_MAX:.4g}], "
+            f"lambda must be {sign} in [{_SQRT_TINY:.4g}, {_SQRT_MAX:.4g}], "
             f"got {float(arr[~ok][0])!r}"
         )
     return float(arr) if arr.ndim == 0 else arr

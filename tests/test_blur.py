@@ -85,6 +85,59 @@ def test_forward_blur_dimension_mismatch():
         d.forward_blur(np.ones((10, 11)), f)
 
 
+def test_forward_blur_rejects_nonfinite_operator():
+    # the inf sits in a column where f is nonzero, so the product is not
+    # finite; a zero column is left out because BLAS need not form 0 * inf
+    f = d.test_signal(d.make_grid(10))
+    k = int(np.flatnonzero(f.values)[0])
+    for bad in (np.inf, np.nan):
+        a = np.identity(10)
+        a[3, k] = bad
+        with pytest.raises(ValueError, match="must all be finite"):
+            d.forward_blur(a, f)
+
+
+_HAT20 = d.build_blur_matrix(d.KernelSpec(d.Kernel.HAT, 0.05), 20)
+_SVD20 = d.svd_econ(_HAT20)
+
+
+def _on_u(fn):
+    # a spectral entry point, with U of a fixed factorization playing the
+    # operator: a bad entry in U is a bad operator entry
+    return lambda u, b: fn(d.SvdFactors(u, _SVD20.sigma, _SVD20.v), b), _SVD20.u
+
+
+_ENTRY_POINTS = {
+    "solve_linear": (d.solve_linear, _HAT20),
+    "invert": (lambda a, b: d.invert(a), _HAT20),
+    "solve_least_squares": (d.solve_least_squares, _HAT20),
+    "svd_econ": (lambda a, b: d.svd_econ(a), _HAT20),
+    "expansion_coefficients": _on_u(d.expansion_coefficients),
+    "naive_inverse_coefficients": _on_u(d.naive_inverse_coefficients),
+    "filtered_coefficients": _on_u(lambda s, b: d.filtered_coefficients(s, b, 1e-3)),
+    "spectral_diagnostics": _on_u(lambda s, b: d.spectral_diagnostics(s, b, 1e-3)),
+    "truncated_svd_solve": _on_u(lambda s, b: d.truncated_svd_solve(s, b, 20)),
+}
+_TAKES_NO_DATA = {"invert", "svd_econ"}
+
+
+@pytest.mark.parametrize("name, bad", [
+    (name, bad)
+    for name in sorted(_ENTRY_POINTS)
+    for bad in ("nan in A", "inf in A", "nan in b")
+    if not (bad == "nan in b" and name in _TAKES_NO_DATA)
+])
+def test_every_entry_point_rejects_nonfinite_operator_or_data(name, bad):
+    fn, a = _ENTRY_POINTS[name]
+    a, b = a.copy(), np.ones(20)
+    if bad == "nan in b":
+        b[3] = np.nan
+    else:
+        a[4, 5] = np.nan if bad == "nan in A" else np.inf
+    with pytest.raises(ValueError, match="entries must all be finite"):
+        fn(a, b)
+
+
 def test_forward_blur_matches_quadrature_oracle():
     # midpoint rule against adaptive quadrature of the underlying integral
     spec = d.KernelSpec(d.Kernel.GAUSSIAN, 0.025)

@@ -179,6 +179,20 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert not (tmp_path / "curve.csv").exists()
 
 
+def test_deblur_with_overflowing_kernel_width_exits_one(tmp_path, capsys):
+    # z = 1e-200 squares to 0, so the Gaussian would be 0/0 = NaN
+    data = tmp_path / "f.csv"
+    d.write_vector_csv(data, np.linspace(0.0, 1.0, 40))
+    out = tmp_path / "rec.csv"
+    for extra in ([], ["--lambda", "1e-3"]):
+        argv = ["deblur", "--kernel", "gaussian", "--z", "1e-200",
+                "--input", str(data), "--output", str(out), *extra]
+        assert run_cli(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "kernel width z" in captured.err, argv
+        assert not out.exists()
+
+
 def test_out_of_memory_exits_two(monkeypatch, capsys):
     def no_memory(*_):
         raise MemoryError("cannot allocate the blur matrix")

@@ -31,9 +31,18 @@ def test_make_grid_rejects_nonpositive_n():
 
 
 def test_kernel_spec_rejects_nonpositive_z():
-    for z in (0.0, -0.1, float("nan")):
-        with pytest.raises(ValueError):
-            d.KernelSpec(d.Kernel.HAT, z)
+    # z^2 or 1/z leaves float64's normal range beyond [sqrt(tiny), sqrt(max)]
+    for z in (0.0, -0.1, float("nan"), 1e-200, 1e-310, 1e160):
+        for kind in d.Kernel:
+            with pytest.raises(ValueError):
+                d.KernelSpec(kind, z)
+
+
+def test_kernel_spec_width_bounds_evaluate_finite():
+    s = d.make_grid(50).points
+    for z in (math.sqrt(np.finfo(float).tiny), math.sqrt(np.finfo(float).max)):
+        for kind in d.Kernel:
+            assert np.all(np.isfinite(d.eval_kernel(d.KernelSpec(kind, z), s[:, None], s)))
 
 
 def test_kernel_names_case_insensitive():

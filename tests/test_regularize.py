@@ -165,6 +165,16 @@ def test_nonfinite_operator_or_data_rejected_by_every_method():
             d.gradient_phi(a_bad, b_bad, f, 1e-3)
 
 
+def test_objective_and_gradient_reject_nonfinite_iterate():
+    a = np.identity(3)
+    b = np.ones(3)
+    f = np.array([1.0, np.nan, 0.0])
+    with pytest.raises(ValueError, match="entries must all be finite"):
+        d.objective_phi(a, b, f, 1e-3)
+    with pytest.raises(ValueError, match="entries must all be finite"):
+        d.gradient_phi(a, b, f, 1e-3)
+
+
 def test_augmented_path_beats_normal_equations_near_singularity():
     # ill-conditioned 2x2 with a tiny lambda: the normal equations lose
     # half the digits, the augmented least-squares path does not
