@@ -6,6 +6,11 @@ code, blur it, add seeded noise, deblur, threshold, decode, and report the
 match).  All randomness flows through ``--seed``, so identical invocations
 produce byte-identical outputs.
 
+Every operator command has the same shape: check the arguments, load the
+input, compute every result, then write.  The SVG, which can still reject
+its data, is written before any CSV, so a command that exits 1 has written
+nothing: no stdout, no output file and no SVG.
+
 Exit codes: 0 success, 1 usage error, 2 computation error (singular matrix,
 decode failure, out of memory, ...), 3 I/O error.
 """
@@ -47,13 +52,9 @@ EXIT_IO = 3
 COKE_DIGITS = "049000027679"
 
 
-class _UsageError(ValueError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(f"{self.prog}: {message}\n{self.format_usage()}".rstrip())
+        raise ValueError(f"{self.prog}: {message}\n{self.format_usage()}".rstrip())
 
 
 def _seed_type(value: str) -> int:
@@ -70,109 +71,101 @@ def _positive_int(value: str) -> int:
     return n
 
 
-def _kernel_spec(args) -> KernelSpec:
-    return KernelSpec(Kernel.from_name(args.kernel), args.z)
-
-
-def _emit_vector(args, values):
-    io.write_vector_csv(args.output if args.output else sys.stdout, values)
+def _index_list(value: str) -> list[int]:
+    try:
+        return [int(tok) for tok in value.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError("takes comma-separated indices") from None
 
 
 def _maybe_svg(args, x, y, *, log_x=False, log_y=False, title=""):
-    if getattr(args, "svg", None):
+    if args.svg:
         write_svg_polyline(args.svg, x, y, log_x=log_x, log_y=log_y, title=title)
 
 
-def _add_kernel_flags(p, z_default=0.025):
+def _add_kernel_flags(p):
     p.add_argument("--kernel", default="averaging",
                    help="blur kernel: averaging | hat | gaussian (default averaging)")
-    p.add_argument("--z", type=float, default=z_default,
-                   help=f"kernel half-width / spread (default {z_default})")
+    p.add_argument("--z", type=float, default=0.025,
+                   help="kernel half-width / spread (default 0.025)")
 
 
 def _load_signal(path) -> Signal:
     values = io.read_vector_csv(path)
     if values.size == 0:
-        raise _UsageError(f"input vector {path} is empty")
+        raise ValueError(f"input vector {path} is empty")
     return Signal(make_grid(values.size), values)
 
 
+def _load_system(args) -> tuple[Signal, np.ndarray]:
+    """The ``--input`` data b and the blur matrix A of its size, kernel checked first."""
+    spec = KernelSpec(args.kernel, args.z)
+    b = _load_signal(args.input)
+    return b, build_blur_matrix(spec, b.grid.n)
+
+
 def _cmd_blur(args) -> int:
-    spec = _kernel_spec(args)
+    spec = KernelSpec(args.kernel, args.z)
     if args.upc:
         f = pattern_to_signal(encode_upc(args.upc), args.points_per_unit)
     elif args.input:
         f = _load_signal(args.input)
     else:
         f = test_signal(make_grid(args.n))
-    a = build_blur_matrix(spec, f.grid.n)
-    b = forward_blur(a, f)
+    b = forward_blur(build_blur_matrix(spec, f.grid.n), f)
     if args.noise is not None:
         b = add_noise(b, NoiseSpec(args.noise, args.seed))
+    _maybe_svg(args, b.grid.points, b.values, title="blurred signal")
     if args.save_input:
         io.write_vector_csv(args.save_input, f.values)
-    _emit_vector(args, b.values)
-    _maybe_svg(args, b.grid.points, b.values, title="blurred signal")
+    io.write_vector_csv(args.output or sys.stdout, b.values)
     return EXIT_OK
 
 
 def _cmd_deblur(args) -> int:
-    spec = _kernel_spec(args)
     method = Method.from_name(args.method)
     if args.lam is not None:
         _check_lambdas(args.lam, zero_ok=True)
-    b = _load_signal(args.input)
-    a = build_blur_matrix(spec, b.grid.n)
+    b, a = _load_system(args)
     if args.lam is None:
         f = solve_linear(a, b.values)
     else:
         f = tikhonov_solve(a, b.values, args.lam, method).f_lambda
-    _emit_vector(args, f)
     _maybe_svg(args, b.grid.points, f, title="recovered signal")
+    io.write_vector_csv(args.output or sys.stdout, f)
     return EXIT_OK
 
 
 def _cmd_lcurve(args) -> int:
-    spec = _kernel_spec(args)
     method = Method.from_name(args.method)
     lambdas = _check_sweep(logspace(args.lambda_min_exp, args.lambda_max_exp, args.count))
-    b = _load_signal(args.input)
-    a = build_blur_matrix(spec, b.grid.n)
+    b, a = _load_system(args)
     curve = lcurve_sweep(a, b.values, lambdas, method)
+    i = suggest_corner(curve) if args.corner else None
+    _maybe_svg(args, curve.residual_norms, curve.solution_norms,
+               log_x=True, log_y=True, title="L-curve")
     rows = zip(curve.lambdas, curve.residual_norms, curve.solution_norms)
-    io.write_table_csv(
-        args.output if args.output else sys.stdout,
-        ["lambda", "residual_norm", "solution_norm"],
-        rows,
-    )
-    if args.corner:
-        i = suggest_corner(curve)
+    io.write_table_csv(args.output or sys.stdout, ["lambda", "residual_norm", "solution_norm"],
+                       rows)
+    if i is not None:
         print(
             f"suggested corner (advisory): index {i}, lambda = {curve.lambdas[i]:.6g}",
             file=sys.stderr,
         )
-    _maybe_svg(args, curve.residual_norms, curve.solution_norms,
-               log_x=True, log_y=True, title="L-curve")
     return EXIT_OK
 
 
 def _cmd_svd_analyze(args) -> int:
-    spec = _kernel_spec(args)
     _check_lambdas(args.lam)
-    b = _load_signal(args.input)
-    a = build_blur_matrix(spec, b.grid.n)
+    b, a = _load_system(args)
+    if args.vectors and any(not 1 <= j <= b.grid.n for j in args.vectors):
+        raise ValueError(f"svd-analyze: vector indices must lie in 1..{b.grid.n}")
     svd = svd_econ(a)
-    sink = args.output if args.output else sys.stdout
+    sink = args.output or sys.stdout
     if args.vectors:
-        try:
-            indices = [int(tok) for tok in args.vectors.split(",")]
-        except ValueError:
-            raise _UsageError("svd-analyze: --vectors takes comma-separated indices") from None
-        if any(not 1 <= j <= b.grid.n for j in indices):
-            raise _UsageError(f"svd-analyze: vector indices must lie in 1..{b.grid.n}")
-        cols = [svd.v[:, j - 1] for j in indices]
+        cols = [svd.v[:, j - 1] for j in args.vectors]
         rows = ([k + 1, *(col[k] for col in cols)] for k in range(b.grid.n))
-        io.write_table_csv(sink, ["k"] + [f"v{j}" for j in indices], rows)
+        io.write_table_csv(sink, ["k"] + [f"v{j}" for j in args.vectors], rows)
         return EXIT_OK
     diag = spectral_diagnostics(svd, b.values, args.lam)
     io.write_table_csv(
@@ -185,7 +178,7 @@ def _cmd_svd_analyze(args) -> int:
 
 def _cmd_upc_encode(args) -> int:
     f = pattern_to_signal(encode_upc(args.digits), args.points_per_unit)
-    _emit_vector(args, f.values)
+    io.write_vector_csv(args.output or sys.stdout, f.values)
     return EXIT_OK
 
 
@@ -244,8 +237,9 @@ def _build_parser() -> _Parser:
     _add_kernel_flags(p)
     p.add_argument("--n", type=_positive_int, default=100,
                    help="grid size for the built-in test signal (default 100)")
-    p.add_argument("--input", help="signal file to blur (one float per line)")
-    p.add_argument("--upc", help="blur the sampled encoding of this 12-digit code")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--input", help="signal file to blur (one float per line)")
+    source.add_argument("--upc", help="blur the sampled encoding of this 12-digit code")
     p.add_argument("--points-per-unit", type=_positive_int, default=6,
                    help="samples per bar-width unit with --upc (default 6)")
     p.add_argument("--noise", type=float, default=None,
@@ -289,7 +283,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--input", required=True, help="data vector file")
     p.add_argument("--lambda", dest="lam", type=float, required=True,
                    help="lambda for the filtered-coefficient column")
-    p.add_argument("--vectors",
+    p.add_argument("--vectors", type=_index_list,
                    help="emit these right singular vectors (1-based, comma-"
                         "separated) as columns instead of the diagnostics")
     p.add_argument("--output", help="output CSV (default stdout)")

@@ -29,6 +29,23 @@ _SQRT_TINY = math.sqrt(np.finfo(float).tiny)
 _SQRT_MAX = math.sqrt(np.finfo(float).max)
 
 
+def _check_range(value, subject, zero_ok=False):
+    """Return ``value`` as a float (or float array) once each entry lies in
+    [_SQRT_TINY, _SQRT_MAX], or is 0 where ``zero_ok``; else raise ValueError
+    naming ``subject``.  The bounds are compared, never squared: squaring
+    1e160 would itself overflow.  NaN fails every comparison and is rejected.
+    """
+    arr = np.asarray(value, dtype=float)
+    ok = (arr >= _SQRT_TINY) & (arr <= _SQRT_MAX)
+    if zero_ok:
+        ok |= arr == 0.0
+    if not np.all(ok):
+        raise ValueError(
+            f"{subject} in [{_SQRT_TINY:.4g}, {_SQRT_MAX:.4g}], got {float(arr[~ok][0])!r}"
+        )
+    return float(arr) if arr.ndim == 0 else arr
+
+
 class Kernel(enum.Enum):
     """Available kernel shapes."""
 
@@ -57,12 +74,7 @@ class KernelSpec:
     def __post_init__(self):
         if not isinstance(self.kind, Kernel):
             object.__setattr__(self, "kind", Kernel.from_name(str(self.kind)))
-        z = float(self.z)
-        if not _SQRT_TINY <= z <= _SQRT_MAX:
-            raise ValueError(
-                f"kernel width z must lie in [{_SQRT_TINY:.4g}, {_SQRT_MAX:.4g}], got {self.z!r}"
-            )
-        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "z", float(_check_range(self.z, "kernel width z must lie")))
 
 
 @dataclass(frozen=True, eq=False)

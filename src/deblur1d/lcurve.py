@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blur import _as_system
 from .linalg import svd_econ
-from .regularize import Method, _check_problem, tikhonov_solve
+from .regularize import Method, tikhonov_solve
 from .svd_analysis import _check_lambdas, _tikhonov_inverse_filter
 
 __all__ = ["LCurve", "logspace", "lcurve_sweep", "suggest_corner"]
@@ -85,7 +86,7 @@ def lcurve_sweep(a, b_noise, lambdas, method: Method = Method.SVD_FILTER) -> LCu
     The other methods solve the problem once per lambda with
     :func:`~deblur1d.regularize.tikhonov_solve`.
     """
-    a, b_noise, _, _ = _check_problem(a, b_noise)
+    a, b_noise = _as_system(a, b_noise, square=True)
     lambdas = _check_sweep(lambdas)
     if method is Method.SVD_FILTER:
         svd = svd_econ(a)

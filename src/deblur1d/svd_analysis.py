@@ -15,8 +15,9 @@ sigma_j -> 0.  All quantities here are cheap given one shared
 every diagnostic and every lambda.  The ``SVD_FILTER`` and TSVD solves are
 V times coefficients from here, and the L-curve uses the same Tikhonov filter.
 
-Zero-sigma policy: :func:`naive_inverse_coefficients` is the only division
-by sigma, and an exactly zero sigma among the terms it keeps raises
+Zero-sigma policy: ``_naive``, behind :func:`naive_inverse_coefficients` and
+:func:`spectral_diagnostics`, is the only division by sigma, and an exactly
+zero sigma among the terms it keeps raises
 :class:`~deblur1d.errors.SingularComponentError`.  The lambda = 0
 ``SVD_FILTER`` solve also refuses sigma_n <= 1e-14 * sigma_1.  For
 lambda > 0 the divisor is sigma^2 + lambda^2, never sigma alone.
@@ -34,7 +35,7 @@ import numpy as np
 
 from .blur import _as_system
 from .errors import SingularComponentError
-from .kernels import _SQRT_MAX, _SQRT_TINY
+from .kernels import _check_range
 from .linalg import SvdFactors
 
 __all__ = [
@@ -47,29 +48,22 @@ __all__ = [
 
 
 def _check_lambdas(lam, zero_ok=False):
-    """Return ``lam`` as a float (or float array) once each value lies in
-    [_SQRT_TINY, _SQRT_MAX], or is 0 where ``zero_ok``; raise ValueError otherwise.
-
-    The bounds are compared, never squared: squaring 1e160 would itself
-    overflow.  NaN fails every comparison and is rejected with the rest.
-    """
-    arr = np.asarray(lam, dtype=float)
-    ok = (arr >= _SQRT_TINY) & (arr <= _SQRT_MAX)
-    if zero_ok:
-        ok |= arr == 0.0
-    if not np.all(ok):
-        sign = "nonnegative: 0 or" if zero_ok else "positive:"
-        raise ValueError(
-            f"lambda must be {sign} in [{_SQRT_TINY:.4g}, {_SQRT_MAX:.4g}], "
-            f"got {float(arr[~ok][0])!r}"
-        )
-    return float(arr) if arr.ndim == 0 else arr
+    """Return ``lam`` as a float (or float array) in the range of
+    :func:`~deblur1d.kernels._check_range`, 0 allowed where ``zero_ok``."""
+    sign = "nonnegative: 0 or" if zero_ok else "positive:"
+    return _check_range(lam, f"lambda must be {sign}", zero_ok)
 
 
 def expansion_coefficients(svd: SvdFactors, x) -> np.ndarray:
     """Coefficients u_j^T x of ``x`` against the left singular vectors."""
     u, x = _as_system(svd.u, x)
     return u.T @ x
+
+
+def _naive(sigma, beta):
+    if np.any(sigma == 0.0):
+        raise SingularComponentError("zero singular value; naive inversion undefined")
+    return beta / sigma
 
 
 def naive_inverse_coefficients(svd: SvdFactors, b) -> np.ndarray:
@@ -79,9 +73,7 @@ def naive_inverse_coefficients(svd: SvdFactors, b) -> np.ndarray:
     conditioning-limited error, including its blow-up when small sigma_j
     meet data that is not correspondingly small.
     """
-    if np.any(svd.sigma == 0.0):
-        raise SingularComponentError("zero singular value; naive inversion undefined")
-    return expansion_coefficients(svd, b) / svd.sigma
+    return _naive(svd.sigma, expansion_coefficients(svd, b))
 
 
 def _tikhonov_inverse_filter(sigma, lam):
@@ -117,11 +109,12 @@ class SpectralDiagnostics:
 
 
 def spectral_diagnostics(svd: SvdFactors, b, lam: float) -> SpectralDiagnostics:
-    """Bundle all coefficient diagnostics computed from one factorization."""
+    """Bundle all coefficient diagnostics, from one factorization and one U^T b."""
+    coeff = expansion_coefficients(svd, b)
     return SpectralDiagnostics(
         lam=float(lam),
         sigma=svd.sigma,
-        coeff=expansion_coefficients(svd, b),
-        naive_coeff=naive_inverse_coefficients(svd, b),
-        filtered_coeff=filtered_coefficients(svd, b, lam),
+        coeff=coeff,
+        naive_coeff=_naive(svd.sigma, coeff),
+        filtered_coeff=coeff * _tikhonov_inverse_filter(svd.sigma, _check_lambdas(lam)),
     )

@@ -158,6 +158,11 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     capsys.readouterr()
     data = tmp_path / "b.csv"
     d.write_vector_csv(data, np.linspace(0.0, 1.0, 40))
+    zero, one = tmp_path / "zero.csv", tmp_path / "one.csv"
+    d.write_vector_csv(zero, np.zeros(40))
+    d.write_vector_csv(one, np.ones(1))
+    out, svg = str(tmp_path / "out.csv"), str(tmp_path / "out.svg")
+    inputs = sorted(tmp_path.iterdir())
     for argv in (
         ["blur", "--noise", "-1"],
         ["lcurve", "--input", str(data), "--count", "1"],
@@ -172,11 +177,35 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         ["lcurve", "--input", str(data), "--lambda-max-exp", "160",
          "--output", str(tmp_path / "curve.csv")],
         ["lcurve", "--input", str(tmp_path / "missing.csv"), "--lambda-max-exp", "160"],
+        # these fail only once the result is computed, so nothing may be written before
+        ["lcurve", "--input", str(data), "--count", "2", "--corner"],
+        ["lcurve", "--input", str(zero), "--corner", "--output", out],
+        ["lcurve", "--input", str(zero), "--svg", svg, "--output", out],
+        ["blur", "--n", "1", "--svg", svg],
+        ["deblur", "--lambda", "1e-3", "--input", str(one), "--svg", svg],
+        ["blur", "--upc", COKE, "--input", str(data), "--output", out],
+        ["svd-analyze", "--input", str(tmp_path / "missing.csv"), "--lambda", "1e-3",
+         "--vectors", "abc"],
     ):
         assert run_cli(argv) == 1, argv
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: "), argv
+        assert sorted(tmp_path.iterdir()) == inputs, argv
     assert not (tmp_path / "curve.csv").exists()
+
+
+def test_svd_analyze_checks_vectors_before_factoring(tmp_path, monkeypatch, capsys):
+    def no_factoring(*_):
+        raise AssertionError("svd_econ called")
+
+    monkeypatch.setattr("deblur1d.cli.svd_econ", no_factoring)
+    data = tmp_path / "b.csv"
+    d.write_vector_csv(data, np.linspace(0.0, 1.0, 40))
+    for path, vectors in ((tmp_path / "missing.csv", "abc"), (data, "abc"),
+                          (data, "0"), (data, "1,41")):
+        argv = ["svd-analyze", "--input", str(path), "--lambda", "1e-3", "--vectors", vectors]
+        assert run_cli(argv) == 1, argv
+        assert capsys.readouterr().err.startswith("error: "), argv
 
 
 def test_deblur_with_overflowing_kernel_width_exits_one(tmp_path, capsys):

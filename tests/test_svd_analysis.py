@@ -132,3 +132,23 @@ def test_spectral_diagnostics_reconstruction(hat500):
     assert len(rows) == 500
     assert rows[0][0] == 1
     assert all(len(r) == 5 for r in rows)
+
+
+def test_spectral_diagnostics_forms_one_expansion(hat500, monkeypatch):
+    from deblur1d import svd_analysis
+
+    calls = []
+    real = svd_analysis._as_system
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(svd_analysis, "_as_system", counting)
+    b = hat500.b_noise.values
+    diag = d.spectral_diagnostics(hat500.svd, b, 1e-3)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert np.array_equal(diag.coeff, d.expansion_coefficients(hat500.svd, b))
+    assert np.array_equal(diag.naive_coeff, d.naive_inverse_coefficients(hat500.svd, b))
+    assert np.array_equal(diag.filtered_coeff, d.filtered_coefficients(hat500.svd, b, 1e-3))
