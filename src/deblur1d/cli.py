@@ -106,12 +106,16 @@ def _load_system(args) -> tuple[Signal, np.ndarray]:
 
 def _cmd_blur(args) -> int:
     spec = KernelSpec(args.kernel, args.z)
+    if args.n is not None and (args.upc or args.input):
+        raise ValueError("blur: --n applies only to the built-in test signal")
+    if args.points_per_unit is not None and not args.upc:
+        raise ValueError("blur: --points-per-unit applies only with --upc")
     if args.upc:
-        f = pattern_to_signal(encode_upc(args.upc), args.points_per_unit)
+        f = pattern_to_signal(encode_upc(args.upc), args.points_per_unit or 6)
     elif args.input:
         f = _load_signal(args.input)
     else:
-        f = test_signal(make_grid(args.n))
+        f = test_signal(make_grid(args.n or 100))
     b = forward_blur(build_blur_matrix(spec, f.grid.n), f)
     if args.noise is not None:
         b = add_noise(b, NoiseSpec(args.noise, args.seed))
@@ -156,7 +160,10 @@ def _cmd_lcurve(args) -> int:
 
 
 def _cmd_svd_analyze(args) -> int:
-    _check_lambdas(args.lam)
+    if args.lam is not None:
+        _check_lambdas(args.lam)
+    elif not args.vectors:
+        raise ValueError("svd-analyze: --lambda is required without --vectors")
     b, a = _load_system(args)
     if args.vectors and any(not 1 <= j <= b.grid.n for j in args.vectors):
         raise ValueError(f"svd-analyze: vector indices must lie in 1..{b.grid.n}")
@@ -235,12 +242,12 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("blur", help="build the blur matrix and blur a signal")
     _add_kernel_flags(p)
-    p.add_argument("--n", type=_positive_int, default=100,
+    p.add_argument("--n", type=_positive_int,
                    help="grid size for the built-in test signal (default 100)")
     source = p.add_mutually_exclusive_group()
     source.add_argument("--input", help="signal file to blur (one float per line)")
     source.add_argument("--upc", help="blur the sampled encoding of this 12-digit code")
-    p.add_argument("--points-per-unit", type=_positive_int, default=6,
+    p.add_argument("--points-per-unit", type=_positive_int,
                    help="samples per bar-width unit with --upc (default 6)")
     p.add_argument("--noise", type=float, default=None,
                    help="relative noise level epsilon to add after blurring")
@@ -281,8 +288,9 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("svd-analyze", help="emit per-index spectral diagnostics")
     _add_kernel_flags(p)
     p.add_argument("--input", required=True, help="data vector file")
-    p.add_argument("--lambda", dest="lam", type=float, required=True,
-                   help="lambda for the filtered-coefficient column")
+    p.add_argument("--lambda", dest="lam", type=float,
+                   help="lambda for the filtered-coefficient column "
+                        "(required without --vectors)")
     p.add_argument("--vectors", type=_index_list,
                    help="emit these right singular vectors (1-based, comma-"
                         "separated) as columns instead of the diagnostics")

@@ -26,7 +26,7 @@ from .errors import RankDeficientError, SingularMatrixError, SvdConvergenceError
 __all__ = ["SvdFactors", "solve_linear", "invert", "solve_least_squares", "svd_econ"]
 
 # Columns of R whose pivot falls at or below this times max|M| mark M as
-# numerically rank deficient.
+# numerically rank deficient (M the whole operator when a block is solved).
 _RANK_TOL = 1e-14
 
 
@@ -85,12 +85,20 @@ def solve_least_squares(m, rhs) -> np.ndarray:
     avoid.
     """
     m, rhs = _as_system(m, rhs)
-    rows, cols = m.shape
+    return _lstsq_r(np.column_stack([m, rhs]), np.abs(m).max())
+
+
+def _lstsq_r(bordered: np.ndarray, scale: float) -> np.ndarray:
+    # The unchecked core of solve_least_squares, on the bordered matrix
+    # [M | rhs].  A pivot at or below _RANK_TOL * scale raises, so a caller
+    # that solves a block of a larger operator passes that operator's
+    # max|entry| as the scale.
+    rows, cols = bordered.shape[0], bordered.shape[1] - 1
     if rows < cols:
         raise ValueError(f"need at least as many rows as columns, got {rows}x{cols}")
-    r = np.linalg.qr(np.column_stack([m, rhs]), mode="r")
+    r = np.linalg.qr(bordered, mode="r")
     pivots = np.abs(np.diag(r)[:cols])
-    tol = _RANK_TOL * np.abs(m).max()
+    tol = _RANK_TOL * scale
     if np.any(pivots <= tol):
         k = int(np.argmax(pivots <= tol))
         raise RankDeficientError(

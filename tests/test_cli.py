@@ -127,6 +127,12 @@ def test_svd_analyze_emits_singular_vectors(tmp_path):
     assert run_cli(["svd-analyze", "--kernel", "hat", "--z", "0.05",
                     "--input", str(b_path), "--lambda", "1e-3",
                     "--vectors", "0"]) == 1
+    # the vectors table never reads lambda, so it may be left out
+    no_lam = tmp_path / "vectors_no_lambda.csv"
+    assert run_cli(["svd-analyze", "--kernel", "hat", "--z", "0.05",
+                    "--input", str(b_path), "--vectors", "1,2,50",
+                    "--output", str(no_lam)]) == 0
+    assert no_lam.read_bytes() == out.read_bytes()
 
 
 def test_blur_save_input_writes_unblurred_signal(tmp_path):
@@ -186,6 +192,13 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         ["blur", "--upc", COKE, "--input", str(data), "--output", out],
         ["svd-analyze", "--input", str(tmp_path / "missing.csv"), "--lambda", "1e-3",
          "--vectors", "abc"],
+        # a flag the chosen signal source never reads
+        ["blur", "--n", "5", "--upc", COKE],
+        ["blur", "--n", "5", "--input", str(data), "--output", out],
+        ["blur", "--points-per-unit", "3", "--input", str(data)],
+        ["blur", "--points-per-unit", "3", "--n", "40", "--svg", svg],
+        # --lambda is required without --vectors, checked before the input is read
+        ["svd-analyze", "--input", str(tmp_path / "missing.csv")],
     ):
         assert run_cli(argv) == 1, argv
         captured = capsys.readouterr()

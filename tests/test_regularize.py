@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import deblur1d as d
+from deblur1d import linalg
 from oracles import central_difference_gradient
 
 
@@ -188,6 +189,78 @@ def test_augmented_path_beats_normal_equations_near_singularity():
     ne_dev = np.abs(f_ne - reference).max()
     assert aug_dev < 1e-8  # agrees with the spectral reference to 8 decimals
     assert ne_dev > aug_dev
+
+
+def _blurred(kind, z, n):
+    a = d.build_blur_matrix(d.KernelSpec(kind, z), n)
+    return a, d.forward_blur(a, d.test_signal(d.make_grid(n))).values
+
+
+def _centrosymmetric(n, seed):
+    r = np.random.default_rng(seed).standard_normal((n, n))
+    return r + r[::-1, ::-1], np.random.default_rng(seed + 1).standard_normal(n)
+
+
+@pytest.mark.parametrize("a, b, lam", [
+    (*_blurred(d.Kernel.GAUSSIAN, 0.01, 570), 1e-5),
+    (*_blurred(d.Kernel.GAUSSIAN, 0.01, 570), 1e-2),
+    (*_blurred(d.Kernel.HAT, 0.05, 501), 1e-3),
+    (*_centrosymmetric(2, 5), 1e-3),
+    (*_centrosymmetric(3, 6), 1e-3),
+    (np.array([[2.0]]), np.array([3.0]), 0.5),
+], ids=["gauss570-1e-5", "gauss570-1e-2", "hat501", "n2", "n3", "n1"])
+def test_augmented_split_matches_full_qr(a, b, lam):
+    # the centrosymmetric random matrices are not symmetric, so the fold
+    # must not lean on A = A^T
+    n = a.shape[0]
+    full = d.solve_least_squares(np.vstack([a, lam * np.identity(n)]),
+                                 np.concatenate([b, np.zeros(n)]))
+    f = d.tikhonov_solve(a, b, lam, d.Method.AUGMENTED_LS).f_lambda
+    assert np.linalg.norm(f - full) <= 1e-9 * np.linalg.norm(full)
+
+
+@pytest.mark.parametrize("a, shapes", [
+    (_blurred(d.Kernel.GAUSSIAN, 0.01, 570)[0], [(570, 286), (570, 286)]),
+    (_blurred(d.Kernel.HAT, 0.05, 501)[0], [(502, 252), (500, 251)]),
+    (np.random.default_rng(8).standard_normal((40, 40)), [(80, 41)]),
+    # band edge decided by rounding: off JAJ by a whole entry
+    (_blurred(d.Kernel.AVERAGING, 0.05, 200)[0], [(400, 201)]),
+], ids=["gauss570", "hat501", "random40", "averaging200"])
+def test_augmented_splits_exactly_when_centrosymmetric(monkeypatch, a, shapes):
+    qr = np.linalg.qr
+    seen = []
+
+    def spy(m, mode="reduced"):
+        seen.append(m.shape)
+        return qr(m, mode=mode)
+
+    monkeypatch.setattr(linalg.np.linalg, "qr", spy)
+    d.tikhonov_solve(a, np.ones(a.shape[0]), 1e-3, d.Method.AUGMENTED_LS)
+    assert seen == shapes
+
+
+@pytest.mark.parametrize("a", [np.array([[1.0 + 1e-15, 1.0], [1.0, 1.0 + 1e-15]]),
+                               np.ones((2, 2))])
+def test_augmented_split_rank_check_uses_full_scale(a):
+    # the antisymmetric half is about 1e-15 against max|A| = 1; held to its
+    # own scale it would pass and return entries of about 4.5e14
+    with pytest.raises(d.RankDeficientError):
+        d.tikhonov_solve(a, [1.0, 2.0], 0.0, d.Method.AUGMENTED_LS)
+
+
+def test_augmented_solve_checks_its_input_once(monkeypatch, hat500):
+    calls = []
+    check = linalg._as_system
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_as_system", counting)
+    d.tikhonov_solve(hat500.a, hat500.b_noise.values, 1e-2, d.Method.AUGMENTED_LS)
+    d.tikhonov_solve(np.random.default_rng(9).standard_normal((6, 6)), np.ones(6), 1e-2,
+                     d.Method.AUGMENTED_LS)
+    assert calls == []
 
 
 def test_truncated_svd_full_rank_equals_direct_solve():
