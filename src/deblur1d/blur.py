@@ -23,6 +23,11 @@ from .kernels import Grid, KernelSpec, eval_kernel, make_grid
 
 __all__ = ["Signal", "as_vector", "build_blur_matrix", "forward_blur", "test_signal"]
 
+# Largest dense operator build_blur_matrix allocates: 1 GiB, n = 11585.  The
+# factorizations hold several more n-by-n arrays, so beyond this a request
+# would otherwise fail for memory (exit 2) only once the allocation is tried.
+_MAX_MATRIX_BYTES = 2**30
+
 
 @dataclass(frozen=True, eq=False)
 class Signal:
@@ -83,7 +88,16 @@ def build_blur_matrix(spec: KernelSpec, n: int) -> np.ndarray:
 
     Rows are filled one at a time (a single pass over s_j against the whole
     t grid); building by column or by entry gives the identical matrix.
+    An n whose n-by-n float64 matrix would exceed 1 GiB raises ValueError
+    naming the bytes needed, before anything is allocated.
     """
+    n = int(n)
+    nbytes = n * n * np.dtype(float).itemsize
+    if nbytes > _MAX_MATRIX_BYTES:
+        raise ValueError(
+            f"a {n}x{n} blur matrix needs {nbytes} bytes, over the "
+            f"{_MAX_MATRIX_BYTES}-byte limit for the dense operator"
+        )
     grid = make_grid(n)
     s = t = grid.points
     a = np.empty((grid.n, grid.n))

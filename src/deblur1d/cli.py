@@ -8,8 +8,10 @@ produce byte-identical outputs.
 
 Every operator command has the same shape: check the arguments, load the
 input, compute every result, then write.  The SVG, which can still reject
-its data, is written before any CSV, so a command that exits 1 has written
-nothing: no stdout, no output file and no SVG.
+its data, is rendered to a temporary sibling before any CSV is written and
+moved into place only once every CSV write has succeeded.  So a command
+that exits 1 has written nothing (no stdout, no output file and no SVG),
+and one whose CSV write fails with exit 3 leaves no SVG behind.
 
 Exit codes: 0 success, 1 usage error, 2 computation error (singular matrix,
 decode failure, out of memory, ...), 3 I/O error.
@@ -18,8 +20,10 @@ decode failure, out of memory, ...), 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
+import os
 import sys
 
 import numpy as np
@@ -78,9 +82,23 @@ def _index_list(value: str) -> list[int]:
         raise argparse.ArgumentTypeError("takes comma-separated indices") from None
 
 
-def _maybe_svg(args, x, y, *, log_x=False, log_y=False, title=""):
-    if args.svg:
-        write_svg_polyline(args.svg, x, y, log_x=log_x, log_y=log_y, title=title)
+@contextlib.contextmanager
+def _svg_after_writes(args, x, y, **plot):
+    """Plot to a hidden sibling of ``--svg`` now, run the body (the CSV
+    writes), then move the plot into place; on any failure the sibling is
+    unlinked and an existing ``--svg`` file is left as it was."""
+    if not args.svg:
+        yield
+        return
+    head, name = os.path.split(args.svg)
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    try:
+        write_svg_polyline(tmp, x, y, **plot)
+        yield
+        os.replace(tmp, args.svg)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
 
 
 def _add_kernel_flags(p):
@@ -119,10 +137,10 @@ def _cmd_blur(args) -> int:
     b = forward_blur(build_blur_matrix(spec, f.grid.n), f)
     if args.noise is not None:
         b = add_noise(b, NoiseSpec(args.noise, args.seed))
-    _maybe_svg(args, b.grid.points, b.values, title="blurred signal")
-    if args.save_input:
-        io.write_vector_csv(args.save_input, f.values)
-    io.write_vector_csv(args.output or sys.stdout, b.values)
+    with _svg_after_writes(args, b.grid.points, b.values, title="blurred signal"):
+        if args.save_input:
+            io.write_vector_csv(args.save_input, f.values)
+        io.write_vector_csv(args.output or sys.stdout, b.values)
     return EXIT_OK
 
 
@@ -135,8 +153,8 @@ def _cmd_deblur(args) -> int:
         f = solve_linear(a, b.values)
     else:
         f = tikhonov_solve(a, b.values, args.lam, method).f_lambda
-    _maybe_svg(args, b.grid.points, f, title="recovered signal")
-    io.write_vector_csv(args.output or sys.stdout, f)
+    with _svg_after_writes(args, b.grid.points, f, title="recovered signal"):
+        io.write_vector_csv(args.output or sys.stdout, f)
     return EXIT_OK
 
 
@@ -146,11 +164,11 @@ def _cmd_lcurve(args) -> int:
     b, a = _load_system(args)
     curve = lcurve_sweep(a, b.values, lambdas, method)
     i = suggest_corner(curve) if args.corner else None
-    _maybe_svg(args, curve.residual_norms, curve.solution_norms,
-               log_x=True, log_y=True, title="L-curve")
     rows = zip(curve.lambdas, curve.residual_norms, curve.solution_norms)
-    io.write_table_csv(args.output or sys.stdout, ["lambda", "residual_norm", "solution_norm"],
-                       rows)
+    with _svg_after_writes(args, curve.residual_norms, curve.solution_norms,
+                           log_x=True, log_y=True, title="L-curve"):
+        io.write_table_csv(args.output or sys.stdout,
+                           ["lambda", "residual_norm", "solution_norm"], rows)
     if i is not None:
         print(
             f"suggested corner (advisory): index {i}, lambda = {curve.lambdas[i]:.6g}",

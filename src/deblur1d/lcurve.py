@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blur import _as_system
-from .linalg import svd_econ
+from .linalg import _svd_econ
 from .regularize import Method, tikhonov_solve
 from .svd_analysis import _check_lambdas, _tikhonov_inverse_filter
 
@@ -89,7 +89,7 @@ def lcurve_sweep(a, b_noise, lambdas, method: Method = Method.SVD_FILTER) -> LCu
     a, b_noise = _as_system(a, b_noise, square=True)
     lambdas = _check_sweep(lambdas)
     if method is Method.SVD_FILTER:
-        svd = svd_econ(a)
+        svd = _svd_econ(a)
         beta = svd.u.T @ b_noise
         lam2 = (lambdas * lambdas)[:, None]
         res = np.linalg.norm(lam2 / (svd.sigma * svd.sigma + lam2) * beta, axis=1)

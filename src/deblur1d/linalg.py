@@ -1,4 +1,5 @@
-"""Dense direct solvers: pivoted elimination, QR least squares, economy SVD.
+"""Dense direct solvers: pivoted elimination, QR least squares, economy SVD,
+and the centrosymmetric split that halves the QR and the ``eigh``.
 
 These wrap LAPACK via numpy rather than re-deriving textbook loops: the
 contracts below (error conditions, tolerances, deterministic SVD signs) are
@@ -29,6 +30,8 @@ __all__ = ["SvdFactors", "solve_linear", "invert", "solve_least_squares", "svd_e
 # numerically rank deficient (M the whole operator when a block is solved).
 _RANK_TOL = 1e-14
 
+_SQRT_HALF = np.sqrt(0.5)
+
 
 class SvdFactors(NamedTuple):
     """Economy SVD A = U diag(sigma) V^T.
@@ -42,6 +45,18 @@ class SvdFactors(NamedTuple):
     For an exactly symmetric A the factors come from its eigendecomposition
     A = V diag(w) V^T: sigma_j = |w_j| and u_j = sign(w_j) v_j (with
     sign(0) taken as +1), so u_j = -v_j wherever the eigenvalue is negative.
+    Equal |w_j| keep the order in which the eigenvalues were computed.
+
+    A symmetric A that is also centrosymmetric (A = JAJ, J the exchange
+    matrix) to within n eps max|A| -- every blur matrix on the midpoint
+    grid -- is factored as the nearest centrosymmetric matrix (A + JAJ)/2,
+    which differs from A by no more than that tolerance, through its two
+    half-size blocks (see ``_centro_halves``): w = [w+, w-] is sorted by |w|
+    with ties keeping that order, so the symmetric half's eigenvalues come
+    first.  Each v_j is then exactly mirror-symmetric (v_j[n-1-k] = v_j[k])
+    or exactly mirror-antisymmetric (v_j[n-1-k] = -v_j[k]), so its
+    largest-magnitude entries come in exact pairs and the lowest index of
+    the pair is the positive one.
     """
 
     u: np.ndarray
@@ -110,14 +125,108 @@ def _lstsq_r(bordered: np.ndarray, scale: float) -> np.ndarray:
     return x
 
 
+def _fold(x, sign):
+    # Rows of P_s^T x for the half s = sign of P = [[I, I], [J, -J]]/sqrt(2):
+    # row i pairs with row n-1-i, and the centre row of an odd n joins the
+    # symmetric half unchanged.
+    n = x.shape[0]
+    m = n // 2
+    pairs = (x[:m] + sign * x[::-1][:m]) * _SQRT_HALF
+    return np.concatenate([pairs, x[m:n - m]]) if sign > 0 else pairs
+
+
+def _centro_halves(a: np.ndarray, amax: float):
+    """The diagonal blocks M+ and M- of P^T A P, or None.
+
+    P = [[I, I], [J, -J]]/sqrt(2) (J the exchange matrix; for odd n the
+    centre row joins the symmetric half, see ``_fold``) is orthogonal, and
+    it block-diagonalizes a centrosymmetric A = JAJ: P^T A P = diag(M+, M-)
+    with M+- = C11 +- C12 J, where C = (A + JAJ)/2 and C11, C12 are its
+    top-left and top-right floor(n/2)-square blocks.  For odd n, M+ also
+    takes C's centre row and column scaled by sqrt(2), and C's centre entry
+    (Cantoni & Butler, Linear Algebra Appl. 13, 1976).  Solving or
+    factoring the two halves costs a quarter of the flops of the whole.
+
+    The split is taken when the square ``a`` has n >= 2 and
+    max|A - JAJ| <= n eps ``amax``, the order of the backward error of the
+    factorization itself (``amax`` = max|A|, passed in because the
+    augmented solve needs it anyway, for its pivot scale).  The halves are
+    those of the nearest centrosymmetric matrix (A + JAJ)/2, which differs
+    from A by no more than that.  Anything else returns None.  Built from
+    blocks, with no sqrt(1/2) applied to the leading block, I folds to I
+    exactly.
+
+    The halves come as an iterator that builds M+ and then M-, each only
+    when asked for, so a caller that is done with M+ before it asks for M-
+    never holds both.
+    """
+    n = a.shape[0]
+    # JAJ is A with its row-major entries reversed, so max|A - JAJ| needs only
+    # the first half of them against the reversed second half
+    flat = a.ravel()
+    mid = flat.size // 2
+    tol = n * np.finfo(float).eps * amax
+    if n == 1 or np.abs(flat[:mid] - flat[::-1][:mid]).max() > tol:
+        return None
+    return (_centro_half(a, sign) for sign in (1.0, -1.0))
+
+
+def _centro_half(a, sign):
+    # 2 C11 +- 2 C12 J, halved: entry (i, j) adds A[i, j] and its mirror
+    # A[n-1-i, n-1-j], then +- A[i, n-1-j] and its mirror A[n-1-i, j]
+    n = a.shape[0]
+    m = n // 2
+    block = a[:m, :m] + a[::-1, ::-1][:m, :m]
+    cross = a[:m, ::-1][:, :m] + a[::-1][:m, :m]
+    if sign > 0:
+        block += cross
+    else:
+        block -= cross
+    block *= 0.5
+    if sign < 0 or n % 2 == 0:
+        return block
+    half = np.empty((m + 1, m + 1))
+    half[:m, :m] = block
+    half[:m, m] = (a[:m, m] + a[::-1, m][:m]) * _SQRT_HALF
+    half[m, :m] = (a[m, :m] + a[m, ::-1][:m]) * _SQRT_HALF
+    half[m, m] = a[m, m]
+    return half
+
+
 def _symmetric_factors(a: np.ndarray):
     # A = V diag(w) V^T = (V diag(sign w)) diag(|w|) V^T; the stable sort
-    # keeps equal |w| in eigh's ascending order, so the result is reproducible.
-    w, vecs = np.linalg.eigh(a)
-    order = np.argsort(-np.abs(w), kind="stable")
-    w = w[order]
-    v = vecs[:, order]
+    # keeps equal |w| in their eigh order, so the result is reproducible.
+    halves = _centro_halves(a, np.abs(a).max())
+    if halves is None:
+        w, v = np.linalg.eigh(a)
+        order = np.argsort(-np.abs(w), kind="stable")
+        w, v = w[order], v[:, order]
+    else:
+        w, v = _centro_eigh(halves, a.shape[0])
     return v * np.where(w < 0, -1.0, 1.0), np.abs(w), v
+
+
+def _centro_eigh(halves, n):
+    # eigh of M+ and then M- (map drops each half once it is factored); each
+    # eigenvector y unfolds to P_s y, written straight into its column of
+    # the |w|-sorted result, so no unsorted n-by-n copy is ever held.  The
+    # columns are filled as rows of V^T: V comes out column-major, as from
+    # eigh itself, which keeps the column-wise sign pass fast.
+    (w_sym, y_sym), (w_anti, y_anti) = map(np.linalg.eigh, halves)
+    w = np.concatenate([w_sym, w_anti])
+    order = np.argsort(-np.abs(w), kind="stable")
+    column = np.empty(n, dtype=np.intp)
+    column[order] = np.arange(n)
+    m = n // 2
+    vt = np.empty((n, n))
+    k = w_sym.size
+    for y, rows, sign in ((y_sym, column[:k], 1.0), (y_anti, column[k:], -1.0)):
+        top = y[:m].T * _SQRT_HALF
+        vt[rows, :m] = top
+        vt[rows, n - m:] = sign * top[:, ::-1]
+        if n % 2:
+            vt[rows, m] = y[m] if sign > 0 else 0.0
+    return w[order], vt.T
 
 
 def svd_econ(a) -> SvdFactors:
@@ -130,10 +239,22 @@ def svd_econ(a) -> SvdFactors:
 
     A square input that equals its transpose exactly (every blur matrix
     does) is factored with ``eigh`` as described on :class:`SvdFactors`,
-    which is several times cheaper than the general SVD; any other input
-    takes the general SVD.
+    which is several times cheaper than the general SVD.  When it is also
+    centrosymmetric to within rounding, as every blur matrix on the
+    midpoint grid is, that is two ``eigh`` calls on the half-size blocks
+    M+ and M- of (A + JAJ)/2, at about a quarter of the flops; the
+    eigenvalues are sorted by magnitude with ties in [w+, w-] order, and
+    every v_j is exactly mirror-symmetric or mirror-antisymmetric, so the
+    lowest-index tie rule of the sign convention holds exactly.  Any other
+    symmetric input takes one full ``eigh``, and any other input the
+    general SVD.
     """
-    a = _as_system(a)
+    return _svd_econ(_as_system(a))
+
+
+def _svd_econ(a: np.ndarray) -> SvdFactors:
+    # The unchecked core of svd_econ, for a caller that has already passed
+    # ``a`` through _as_system.
     if a.shape[0] < a.shape[1]:
         raise ValueError(f"need at least as many rows as columns, got {a.shape[0]}x{a.shape[1]}")
     try:

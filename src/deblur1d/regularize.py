@@ -17,7 +17,9 @@ routes to the minimizer are provided:
   (A = JAJ with J the exchange matrix, as every blur matrix on the midpoint
   grid is) is first folded by the orthogonal P = [[I, I], [J, -J]]/sqrt(2)
   into two independent half-size problems [M+-; lambda I], each solved the
-  same way, for a quarter of the full QR's flops (``_augmented_solve``).
+  same way, for a quarter of the full QR's flops (``_augmented_solve``;
+  the test and the fold are ``linalg._centro_halves``, which ``svd_econ``
+  shares for its two half-size ``eigh`` calls).
   Both halves are still orthogonal least squares, so the conditioning is
   still not squared.  Any other A, and n = 1, takes the single full QR.
 * ``NORMAL_EQUATIONS`` -- solve (A^T A + lambda^2 I) f = A^T b directly.
@@ -36,7 +38,15 @@ import numpy as np
 
 from .blur import _as_system
 from .errors import SingularComponentError
-from .linalg import SvdFactors, _lstsq_r, solve_linear, svd_econ
+from .linalg import (
+    _SQRT_HALF,
+    SvdFactors,
+    _centro_halves,
+    _fold,
+    _lstsq_r,
+    _svd_econ,
+    solve_linear,
+)
 from .noise import vector_norm
 from .svd_analysis import _check_lambdas, filtered_coefficients, naive_inverse_coefficients
 
@@ -53,8 +63,6 @@ __all__ = [
 # raises rather than emit near-infinities; see the zero-sigma policy in the
 # deblur1d.svd_analysis docstring.
 _SV_CUTOFF = 1e-14
-
-_SQRT_HALF = np.sqrt(0.5)
 
 
 class Method(enum.Enum):
@@ -123,7 +131,7 @@ def tikhonov_solve(
     elif method is Method.NORMAL_EQUATIONS:
         f = solve_linear(a.T @ a + lam * lam * np.identity(n), a.T @ b)
     elif method is Method.SVD_FILTER:
-        svd = svd if svd is not None else svd_econ(a)
+        svd = svd if svd is not None else _svd_econ(a)
         if lam > 0.0:
             f = svd.v @ filtered_coefficients(svd, b, lam)
         elif svd.sigma.size == 0 or svd.sigma[-1] <= _SV_CUTOFF * svd.sigma[0]:
@@ -143,29 +151,17 @@ def tikhonov_solve(
     )
 
 
-def _fold(x, sign):
-    # Rows of P_s^T x for the half s = sign of P = [[I, I], [J, -J]]/sqrt(2):
-    # row i pairs with row n-1-i, and the centre row of an odd n joins the
-    # symmetric half unchanged.
-    n = x.shape[0]
-    m = n // 2
-    pairs = (x[:m] + sign * x[::-1][:m]) * _SQRT_HALF
-    return np.concatenate([pairs, x[m:n - m]]) if sign > 0 else pairs
-
-
 def _augmented_solve(a, b, lam):
     """min ||[A; lambda I] f - [b; 0]|| by R-only QR, split in two halves
     when A is centrosymmetric to within rounding.
 
     P is orthogonal and maps lambda I to itself, so with f = P y the problem
-    becomes min ||P^T A P y - P^T b||^2 + lambda^2 ||y||^2.  When A = JAJ,
-    P^T A P = diag(M+, M-) and the two halves are solved independently;
-    taking M+- from all four quarter-blocks of A solves exactly for the
-    nearest centrosymmetric matrix (A + JAJ)/2.  The split is taken when
-    max|A - JAJ| <= n eps max|A|, the order of QR's own backward error.
-    Every pivot is held to the full operator's scale max|[A; lambda I]|.
+    becomes min ||P^T A P y - P^T b||^2 + lambda^2 ||y||^2.  When
+    ``linalg._centro_halves`` splits A, P^T A P = diag(M+, M-) (exactly, for
+    the nearest centrosymmetric matrix (A + JAJ)/2) and the two halves are
+    solved independently, one at a time.  Every pivot is held to the full
+    operator's scale max|[A; lambda I]|.
     """
-    n = a.shape[0]
     amax = np.abs(a).max()
 
     def solve(m, c):
@@ -177,14 +173,11 @@ def _augmented_solve(a, b, lam):
         np.fill_diagonal(bordered[k:], lam)
         return _lstsq_r(bordered, max(amax, lam))
 
-    # JAJ is A with its row-major entries reversed, so max|A - JAJ| needs only
-    # the first half of them against the reversed second half
-    flat = a.ravel()
-    mid = flat.size // 2
-    if n == 1 or np.abs(flat[:mid] - flat[::-1][:mid]).max() > n * np.finfo(float).eps * amax:
+    halves = _centro_halves(a, amax)
+    if halves is None:
         return solve(a, b)
-    y_sym, y_anti = [solve(_fold(_fold(a, sign).T, sign).T, _fold(b, sign))
-                     for sign in (1.0, -1.0)]
+    y_sym, y_anti = map(solve, halves, (_fold(b, 1.0), _fold(b, -1.0)))
+    n = a.shape[0]
     half = y_anti.size
     f = np.empty(n)
     f[:half] = (y_sym[:half] + y_anti) * _SQRT_HALF

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import deblur1d as d
+from deblur1d import blur
 from oracles import blur_integral_oracle
 
 
@@ -65,6 +66,18 @@ def test_bandedness_by_kernel():
         assert np.all(a[far] == 0.0)
     a = d.build_blur_matrix(d.KernelSpec(d.Kernel.GAUSSIAN, z), n)
     assert np.all(a > 0.0)
+
+
+def test_matrix_size_guard_refuses_before_allocating(monkeypatch):
+    def no_grid(n):
+        raise AssertionError("the guard must refuse before anything is built")
+
+    spec = d.KernelSpec(d.Kernel.HAT, 0.1)
+    monkeypatch.setattr(blur, "_MAX_MATRIX_BYTES", 8 * 30 * 30)
+    assert d.build_blur_matrix(spec, 30).shape == (30, 30)
+    monkeypatch.setattr(blur, "make_grid", no_grid)
+    with pytest.raises(ValueError, match=r"31x31 blur matrix needs 7688 bytes"):
+        d.build_blur_matrix(spec, 31)
 
 
 def test_forward_blur_identity_and_zero():

@@ -133,6 +133,9 @@ def test_svd_analyze_emits_singular_vectors(tmp_path):
                     "--input", str(b_path), "--vectors", "1,2,50",
                     "--output", str(no_lam)]) == 0
     assert no_lam.read_bytes() == out.read_bytes()
+    # every singular vector of a centrosymmetric operator mirrors exactly
+    for col in data[:, 1:].T:
+        assert np.array_equal(col[::-1], col) or np.array_equal(col[::-1], -col)
 
 
 def test_blur_save_input_writes_unblurred_signal(tmp_path):
@@ -151,6 +154,44 @@ def test_svg_emission(tmp_path):
                     "--output", str(b_path), "--svg", str(svg)]) == 0
     text = svg.read_text()
     assert text.startswith("<svg") and "polyline" in text
+
+
+def test_csv_write_failure_leaves_no_svg(tmp_path, capsys):
+    data = tmp_path / "b.csv"
+    d.write_vector_csv(data, d.test_signal(d.make_grid(50)).values)
+    svg = tmp_path / "ok.svg"
+    bad = str(tmp_path / "missing" / "x.csv")
+    commands = (
+        ["blur", "--n", "50", "--svg", str(svg), "--output", bad],
+        ["deblur", "--kernel", "hat", "--z", "0.05", "--input", str(data),
+         "--lambda", "1e-3", "--svg", str(svg), "--output", bad],
+        ["lcurve", "--kernel", "hat", "--z", "0.05", "--input", str(data),
+         "--count", "10", "--svg", str(svg), "--output", bad],
+    )
+    for argv in commands:
+        assert run_cli(argv) == 3, argv
+        assert capsys.readouterr().err.startswith("error: "), argv
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["b.csv"], argv
+    # an SVG already there is left untouched, and no temporary is left beside it
+    svg.write_text("keep me\n")
+    for argv in commands:
+        assert run_cli(argv) == 3, argv
+        assert svg.read_text() == "keep me\n", argv
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["b.csv", "ok.svg"], argv
+    # a successful run replaces it, again with no temporary left behind
+    out = tmp_path / "out.csv"
+    assert run_cli(["blur", "--n", "50", "--svg", str(svg), "--output", str(out)]) == 0
+    assert svg.read_text().startswith("<svg")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["b.csv", "ok.svg", "out.csv"]
+
+
+def test_oversized_operator_exits_one(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("deblur1d.blur._MAX_MATRIX_BYTES", 8 * 100 * 100)
+    out = tmp_path / "b.csv"
+    assert run_cli(["blur", "--n", "101", "--output", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "needs 81608 bytes" in captured.err
+    assert not out.exists()
 
 
 def test_usage_errors_exit_one(tmp_path, capsys):

@@ -91,7 +91,7 @@ def test_sweep_requires_sorted_positive_lambdas(hat500, monkeypatch):
     def no_work(*_):
         raise AssertionError("invalid input must be rejected before any factoring")
 
-    monkeypatch.setattr("deblur1d.lcurve.svd_econ", no_work)
+    monkeypatch.setattr("deblur1d.lcurve._svd_econ", no_work)
     monkeypatch.setattr("deblur1d.lcurve.tikhonov_solve", no_work)
     bad_calls = [
         (a, b, [1e-2, 1e-3]),

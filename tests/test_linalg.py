@@ -211,3 +211,100 @@ def test_round_trip_recovery_well_conditioned():
         x_rec = d.solve_linear(a, a @ x)
         assert np.linalg.norm(x_rec - x) <= 1e-8 * np.linalg.norm(x)
         assert np.abs(d.invert(a) @ a - np.identity(n)).max() <= 1e-8
+
+
+def _fold_matrix(n):
+    # P = [[I, I], [J, -J]]/sqrt(2) as an explicit n-by-n matrix: symmetric
+    # columns first (the centre of an odd n among them), then antisymmetric
+    m, k = n // 2, n - n // 2
+    p = np.zeros((n, n))
+    for i in range(m):
+        p[i, i] = p[n - 1 - i, i] = np.sqrt(0.5)
+        p[i, k + i] = np.sqrt(0.5)
+        p[n - 1 - i, k + i] = -np.sqrt(0.5)
+    if n % 2:
+        p[m, m] = 1.0
+    return p
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 9, 40, 41])
+def test_centro_halves_block_diagonalize(n):
+    r = np.random.default_rng(n).standard_normal((n, n))
+    a = r + r[::-1, ::-1]  # centrosymmetric but not symmetric
+    p = _fold_matrix(n)
+    assert np.abs(p.T @ p - np.identity(n)).max() <= 4e-16
+    m_sym, m_anti = linalg._centro_halves(a, np.abs(a).max())
+    k = n - n // 2
+    assert m_sym.shape == (k, k) and m_anti.shape == (n // 2, n // 2)
+    expected = np.zeros((n, n))
+    expected[:k, :k] = m_sym
+    expected[k:, k:] = m_anti
+    assert np.abs(p.T @ a @ p - expected).max() <= 8 * n * np.finfo(float).eps * np.abs(a).max()
+    # the identity folds to the identity exactly
+    m_sym, m_anti = linalg._centro_halves(np.identity(n), 1.0)
+    assert np.array_equal(m_sym, np.identity(k))
+    assert np.array_equal(m_anti, np.identity(n // 2))
+
+
+def test_centro_halves_refuse_other_matrices():
+    assert linalg._centro_halves(np.array([[2.0]]), 2.0) is None
+    a = np.random.default_rng(3).standard_normal((6, 6))
+    assert linalg._centro_halves(a, np.abs(a).max()) is None
+
+
+@pytest.mark.parametrize("n, z", [(8, 0.3), (9, 0.3), (570, 0.03), (571, 0.03)])
+def test_svd_centrosymmetric_vectors_mirror_exactly(n, z):
+    a = d.build_blur_matrix(d.KernelSpec(d.Kernel.HAT, z), n)
+    fac = d.svd_econ(a)
+    for j in range(n):
+        v = fac.v[:, j]
+        assert np.array_equal(v[::-1], v) or np.array_equal(v[::-1], -v), j
+    # mirrored entries tie exactly in magnitude, and the first of them is positive
+    assert np.all(fac.v[np.argmax(np.abs(fac.v), axis=0), np.arange(n)] > 0)
+    assert np.array_equal(np.abs(fac.u), np.abs(fac.v))
+    sigma = np.linalg.svd(a, compute_uv=False)
+    assert np.abs(fac.sigma - sigma).max() <= 1e-14 * sigma[0]
+    assert np.linalg.norm(a - (fac.u * fac.sigma) @ fac.v.T) <= 1e-13 * np.linalg.norm(a)
+    assert np.abs(fac.v.T @ fac.v - np.identity(n)).max() <= 1e-13
+    assert np.abs(fac.u.T @ fac.u - np.identity(n)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_svd_equal_sigma_keep_the_fold_order(n):
+    # every sigma of I ties: the symmetric half's vectors come first, each
+    # positive at its lowest index
+    fac = d.svd_econ(np.identity(n))
+    assert np.array_equal(fac.sigma, np.ones(n))
+    assert np.array_equal(fac.v, _fold_matrix(n))
+    assert np.array_equal(fac.u, fac.v)
+
+
+def _off_mirror(a, by):
+    # a symmetric copy of a whose (0, 1) and (1, 0) entries leave JAJ by `by`
+    a = a.copy()
+    a[0, 1] = a[1, 0] = a[0, 1] + by
+    return a
+
+
+_HAT40 = d.build_blur_matrix(d.KernelSpec(d.Kernel.HAT, 0.05), 40)
+_TOL40 = 40 * np.finfo(float).eps * np.abs(_HAT40).max()
+
+
+@pytest.mark.parametrize("a, shapes", [
+    (d.build_blur_matrix(d.KernelSpec(d.Kernel.HAT, 0.03), 570), [(285, 285), (285, 285)]),
+    (d.build_blur_matrix(d.KernelSpec(d.Kernel.HAT, 0.03), 571), [(286, 286), (285, 285)]),
+    (_off_mirror(_HAT40, 0.5 * _TOL40), [(20, 20), (20, 20)]),
+    (_off_mirror(_HAT40, 2.0 * _TOL40), [(40, 40)]),
+    (_symmetric_indefinite(4, 12), [(12, 12)]),
+], ids=["hat570", "hat571", "hat40-within-tol", "hat40-beyond-tol", "random12"])
+def test_svd_splits_eigh_only_when_centrosymmetric(monkeypatch, a, shapes):
+    eigh = np.linalg.eigh
+    seen = []
+
+    def spy(m):
+        seen.append(m.shape)
+        return eigh(m)
+
+    monkeypatch.setattr(linalg.np.linalg, "eigh", spy)
+    _check_contract(a, d.svd_econ(a))
+    assert seen == shapes

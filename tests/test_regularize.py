@@ -263,6 +263,23 @@ def test_augmented_solve_checks_its_input_once(monkeypatch, hat500):
     assert calls == []
 
 
+def test_svd_paths_check_their_input_once(monkeypatch, hat500):
+    # tikhonov_solve and lcurve_sweep check A themselves, then factor it
+    # through the unchecked core of svd_econ
+    calls = []
+    check = linalg._as_system
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_as_system", counting)
+    b = hat500.b_noise.values
+    d.tikhonov_solve(hat500.a, b, 1e-2, d.Method.SVD_FILTER)
+    d.lcurve_sweep(hat500.a, b, [1e-3, 1e-2], d.Method.SVD_FILTER)
+    assert calls == []
+
+
 def test_truncated_svd_full_rank_equals_direct_solve():
     rng = np.random.default_rng(4)
     a = rng.uniform(-1, 1, (10, 10)) + 3 * np.identity(10)
